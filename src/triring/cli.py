@@ -25,8 +25,10 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -148,9 +150,7 @@ def params_to_dict(params: SystemParams) -> dict:
 def _parse_dims(value, default=DEFAULT_DIMS) -> tuple[int, ...]:
     if value is None:
         return tuple(default)
-    if isinstance(value, int):
-        return (value, value, value)
-    dims = tuple(int(d) for d in value)
+    dims = (value,) * 3 if isinstance(value, int) else tuple(int(d) for d in value)
     if len(dims) != 3:
         raise ConfigError(f"dims must have 3 entries (a, b, c), got {dims}")
     if any(d < 1 for d in dims):
@@ -164,21 +164,26 @@ def _parse_dims(value, default=DEFAULT_DIMS) -> tuple[int, ...]:
 
 def apply_axis(params: SystemParams, name: str, value: float) -> SystemParams:
     """Return a copy of ``params`` with one sweep axis applied."""
-    if name == "delta":
-        return dataclasses.replace(
-            params, delta_a=value, delta_c=value, delta_b=value
-        )
-    if name == "kappa_b":
-        return dataclasses.replace(params, kappa_b=value)
-    if name == "theta":
-        return dataclasses.replace(params, theta=value)
-    if name == "omega":
-        return dataclasses.replace(params, omega=value)
-    if name == "u":
-        return dataclasses.replace(params, u_a=value, u_c=value)
-    if name == "j_ac":
-        return dataclasses.replace(params, j_ac=value)
-    raise ConfigError(f"unknown sweep axis {name!r}; allowed: {list(AXIS_NAMES)}")
+    if name not in AXIS_NAMES:
+        raise ConfigError(f"unknown sweep axis {name!r}; allowed: {list(AXIS_NAMES)}")
+    targets = _SHORTHAND.get(name, (name,))
+    return dataclasses.replace(params, **dict.fromkeys(targets, value))
+
+
+_DIRECTIONS = {
+    "both": (DriveSide.LEFT, DriveSide.RIGHT),
+    "left": (DriveSide.LEFT,),
+    "right": (DriveSide.RIGHT,),
+}
+
+
+def _drive_sides(directions) -> tuple[DriveSide, ...]:
+    try:
+        return _DIRECTIONS[directions]
+    except (KeyError, TypeError):  # TypeError: an unhashable value from JSON
+        raise ConfigError(
+            f"directions must be 'both', 'left' or 'right', got {directions!r}"
+        ) from None
 
 
 def _solve_direction(params: SystemParams, dims: tuple[int, ...]) -> dict:
@@ -225,15 +230,7 @@ def run_point(
     ``strict`` any failure raises :class:`PointEvaluationError` naming the
     failing direction; otherwise failures become error flags on the result.
     """
-    if directions not in ("both", "left", "right"):
-        raise ConfigError(
-            f"directions must be 'both', 'left' or 'right', got {directions!r}"
-        )
-    sides = {
-        "both": (DriveSide.LEFT, DriveSide.RIGHT),
-        "left": (DriveSide.LEFT,),
-        "right": (DriveSide.RIGHT,),
-    }[directions]
+    sides = _drive_sides(directions)
 
     outcome: dict[DriveSide, dict] = {}
     errors: dict[DriveSide, str] = {}
@@ -348,10 +345,7 @@ class SweepSpec:
         names = [ax.name for ax in self.axes]
         if len(set(names)) != len(names):
             raise ConfigError(f"sweep axes must be distinct, got {names}")
-        if self.directions not in ("both", "left", "right"):
-            raise ConfigError(
-                f"directions must be 'both', 'left' or 'right', got {self.directions!r}"
-            )
+        _drive_sides(self.directions)
         total = self.n_points
         if total > self.point_cap:
             raise SweepCapError(
@@ -499,12 +493,12 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, columns: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
+def write_csv(fh: TextIO, columns: list[str], rows: list[list]) -> None:
+    """Write a header and rows as CSV with "\\n" line endings to an open text stream."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_format_cell(cell) for cell in row])
 
 
 def _json_cell(value):
@@ -536,6 +530,37 @@ def _write_manifest(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _emit(
+    out_dir: Path,
+    basename: str,
+    columns: list[str],
+    rows: list[list],
+    manifest: dict,
+    formats: tuple[str, ...],
+) -> list[Path]:
+    """Write ``<basename>.csv`` / ``.json`` and ``<basename>_manifest.json``.
+
+    ``manifest`` gains ``name`` and ``files`` unless it sets them itself.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    if "csv" in formats:
+        path = out_dir / f"{basename}.csv"
+        with open(path, "w", newline="") as fh:
+            write_csv(fh, columns, rows)
+        written.append(path)
+    if "json" in formats:
+        path = out_dir / f"{basename}.json"
+        write_json(path, basename, columns, rows)
+        written.append(path)
+    manifest = {"name": basename, "files": [p.name for p in written], **manifest}
+    manifest_path = out_dir / f"{basename}_manifest.json"
+    _write_manifest(manifest_path, manifest)
+    written.append(manifest_path)
+    return written
+
+
 def emit_sweep(
     result: SweepResult,
     out_dir: Path,
@@ -543,21 +568,8 @@ def emit_sweep(
     formats: tuple[str, ...] = ("csv", "json"),
 ) -> list[Path]:
     """Write CSV/JSON mirrors plus a run manifest for a finished sweep."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base = basename or result.spec.name
-    written = []
-    if "csv" in formats:
-        csv_path = out_dir / f"{base}.csv"
-        write_csv(csv_path, result.columns, result.rows)
-        written.append(csv_path)
-    if "json" in formats:
-        json_path = out_dir / f"{base}.json"
-        write_json(json_path, base, result.columns, result.rows)
-        written.append(json_path)
     manifest = {
         "kind": "sweep",
-        "name": base,
         "axes": [dataclasses.asdict(ax) for ax in result.spec.axes],
         "fixed": params_to_dict(result.spec.fixed),
         "dims": list(result.spec.dims),
@@ -566,12 +578,11 @@ def emit_sweep(
         "n_errors": result.n_errors,
         "max_residual": result.max_residual(),
         "wall_time_s": result.wall_time_s,
-        "files": [p.name for p in written],
     }
-    manifest_path = out_dir / f"{base}_manifest.json"
-    _write_manifest(manifest_path, manifest)
-    written.append(manifest_path)
-    return written
+    return _emit(
+        out_dir, basename or result.spec.name, result.columns, result.rows,
+        manifest, formats,
+    )
 
 
 def emit_table(
@@ -582,23 +593,9 @@ def emit_table(
     manifest_extra: dict | None = None,
     formats: tuple[str, ...] = ("csv", "json"),
 ) -> list[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        path = out_dir / f"{basename}.csv"
-        write_csv(path, columns, rows)
-        written.append(path)
-    if "json" in formats:
-        path = out_dir / f"{basename}.json"
-        write_json(path, basename, columns, rows)
-        written.append(path)
-    manifest = {"kind": "table", "name": basename, "files": [p.name for p in written]}
-    manifest.update(manifest_extra or {})
-    manifest_path = out_dir / f"{basename}_manifest.json"
-    _write_manifest(manifest_path, manifest)
-    written.append(manifest_path)
-    return written
+    """Write CSV/JSON mirrors plus a manifest for a table built outside a sweep."""
+    manifest = {"kind": "table", **(manifest_extra or {})}
+    return _emit(out_dir, basename, columns, rows, manifest, formats)
 
 
 # ---------------------------------------------------------------------------
@@ -633,98 +630,51 @@ def _two_cavity_dims(dims: tuple[int, ...]) -> tuple[int, ...]:
     return (dims[0], 1, dims[2])
 
 
-def _scenario_fig2a(out, dims, jobs, formats):
-    spec = SweepSpec(
-        axes=(Axis("delta", -3.0, 3.0, 101),),
-        fixed=two_cavity_params(),
-        dims=_two_cavity_dims(dims),
-        outputs=("t_fwd", "t_bwd", "isolation"),
-        name="fig2a",
-    )
-    return emit_sweep(run_sweep(spec, jobs), out, formats=formats)
+# named grids and column sets shared by the scenario table
+_DELTA_101 = Axis("delta", -3.0, 3.0, 101)
+_DELTA_61 = Axis("delta", -3.0, 3.0, 61)
+_KAPPA_B_0_1 = Axis("kappa_b", 0.0, 1.0, 2)
+_KAPPA_B_41 = Axis("kappa_b", 0.0, 2.0, 41)
+_KAPPA_B_81 = Axis("kappa_b", 0.0, 2.0, 81)
+_THETA_61 = Axis("theta", 0.0, math.pi, 61)
+_THETA_81 = Axis("theta", 0.0, math.pi, 81)
+_T_COLUMNS = ("t_fwd", "t_bwd", "isolation")
+_G2_COLUMNS = ("g2_fwd", "g2_bwd", "ratio")
+
+# scenario name -> the sweeps it writes, in order, as (file basename, axes,
+# output columns).  Only names are stored here: run_sweep and emit_sweep are
+# looked up on the module at call time, so they can be replaced from outside.
+_SCENARIO_SWEEPS = {
+    "fig2a": [("fig2a", (_DELTA_101,), _T_COLUMNS)],
+    "fig2b": [("fig2b", (_KAPPA_B_0_1, _DELTA_101), _T_COLUMNS)],
+    "fig2c": [
+        ("fig2c", (_DELTA_61, _KAPPA_B_41), _T_COLUMNS),
+        ("fig2c_inset", (_KAPPA_B_81,), _T_COLUMNS),
+    ],
+    "fig2d": [("fig2d", (_DELTA_101,), _G2_COLUMNS)],
+    "fig2e": [("fig2e", (_KAPPA_B_0_1, _DELTA_101), _G2_COLUMNS)],
+    "fig2f": [
+        ("fig2f", (_DELTA_61, _KAPPA_B_41), _G2_COLUMNS),
+        ("fig2f_inset", (_KAPPA_B_81,), _G2_COLUMNS),
+    ],
+    "fig3": [("fig3ab", (_KAPPA_B_81,), ("g2_fwd", "g2_bwd", "g3_fwd", "g3_bwd", "ratio"))],
+    "fig4": [
+        ("fig4", (_KAPPA_B_81,),
+         ("p1_fwd", "p2_fwd", "p3_fwd", "p1_bwd", "p2_bwd", "p3_bwd")),
+    ],
+    "fig5a": [("fig5a", (_THETA_61, _KAPPA_B_41), _T_COLUMNS)],
+    "fig5b": [("fig5b", (_THETA_61, _KAPPA_B_41), _G2_COLUMNS)],
+    "fig5c": [
+        ("fig5c", (_THETA_81,),
+         ("t_fwd", "t_bwd", "g2_fwd", "g2_bwd", "isolation", "ratio")),
+    ],
+}
+# scenarios on two_cavity_params() with _two_cavity_dims(); the rest use
+# baseline_params() at the requested dims
+_TWO_CAVITY_SCENARIOS = {"fig2a", "fig2d"}
 
 
-def _scenario_fig2b(out, dims, jobs, formats):
-    spec = SweepSpec(
-        axes=(Axis("kappa_b", 0.0, 1.0, 2), Axis("delta", -3.0, 3.0, 101)),
-        fixed=baseline_params(),
-        dims=dims,
-        outputs=("t_fwd", "t_bwd", "isolation"),
-        name="fig2b",
-    )
-    return emit_sweep(run_sweep(spec, jobs), out, formats=formats)
-
-
-def _scenario_fig2c(out, dims, jobs, formats):
-    spec = SweepSpec(
-        axes=(Axis("delta", -3.0, 3.0, 61), Axis("kappa_b", 0.0, 2.0, 41)),
-        fixed=baseline_params(),
-        dims=dims,
-        outputs=("t_fwd", "t_bwd", "isolation"),
-        name="fig2c",
-    )
-    files = emit_sweep(run_sweep(spec, jobs), out, formats=formats)
-    inset = SweepSpec(
-        axes=(Axis("kappa_b", 0.0, 2.0, 81),),
-        fixed=baseline_params(),
-        dims=dims,
-        outputs=("t_fwd", "t_bwd", "isolation"),
-        name="fig2c_inset",
-    )
-    return files + emit_sweep(run_sweep(inset, jobs), out, formats=formats)
-
-
-def _scenario_fig2d(out, dims, jobs, formats):
-    spec = SweepSpec(
-        axes=(Axis("delta", -3.0, 3.0, 101),),
-        fixed=two_cavity_params(),
-        dims=_two_cavity_dims(dims),
-        outputs=("g2_fwd", "g2_bwd", "ratio"),
-        name="fig2d",
-    )
-    return emit_sweep(run_sweep(spec, jobs), out, formats=formats)
-
-
-def _scenario_fig2e(out, dims, jobs, formats):
-    spec = SweepSpec(
-        axes=(Axis("kappa_b", 0.0, 1.0, 2), Axis("delta", -3.0, 3.0, 101)),
-        fixed=baseline_params(),
-        dims=dims,
-        outputs=("g2_fwd", "g2_bwd", "ratio"),
-        name="fig2e",
-    )
-    return emit_sweep(run_sweep(spec, jobs), out, formats=formats)
-
-
-def _scenario_fig2f(out, dims, jobs, formats):
-    spec = SweepSpec(
-        axes=(Axis("delta", -3.0, 3.0, 61), Axis("kappa_b", 0.0, 2.0, 41)),
-        fixed=baseline_params(),
-        dims=dims,
-        outputs=("g2_fwd", "g2_bwd", "ratio"),
-        name="fig2f",
-    )
-    files = emit_sweep(run_sweep(spec, jobs), out, formats=formats)
-    inset = SweepSpec(
-        axes=(Axis("kappa_b", 0.0, 2.0, 81),),
-        fixed=baseline_params(),
-        dims=dims,
-        outputs=("g2_fwd", "g2_bwd", "ratio"),
-        name="fig2f_inset",
-    )
-    return files + emit_sweep(run_sweep(inset, jobs), out, formats=formats)
-
-
-def _scenario_fig3(out, dims, jobs, formats):
-    spec = SweepSpec(
-        axes=(Axis("kappa_b", 0.0, 2.0, 81),),
-        fixed=baseline_params(),
-        dims=dims,
-        outputs=("g2_fwd", "g2_bwd", "g3_fwd", "g3_bwd", "ratio"),
-        name="fig3ab",
-    )
-    files = emit_sweep(run_sweep(spec, jobs), out, formats=formats)
-
+def _fig3c_table(out, dims, formats):
     # panel (c): photon distributions against their Poisson references at
     # the two highlighted bridge losses, for both drive directions
     columns = ["kappa_b", "drive", "output_mode", "m", "p_m", "poisson_m", "deviation"]
@@ -740,55 +690,10 @@ def _scenario_fig3(out, dims, jobs, formats):
             for m, (p, q) in enumerate(zip(dist, ref)):
                 rows.append([kappa_b, drive, mode_label, m, p, float(q), p - float(q)])
     extra = {"dims": list(dims), "fixed": params_to_dict(baseline_params())}
-    return files + emit_table(out, "fig3c", columns, rows, extra, formats)
+    return emit_table(out, "fig3c", columns, rows, extra, formats)
 
 
-def _scenario_fig4(out, dims, jobs, formats):
-    p_cols = [f"p{m}_fwd" for m in range(1, 4)] + [f"p{m}_bwd" for m in range(1, 4)]
-    spec = SweepSpec(
-        axes=(Axis("kappa_b", 0.0, 2.0, 81),),
-        fixed=baseline_params(),
-        dims=dims,
-        outputs=tuple(p_cols),
-        name="fig4",
-    )
-    return emit_sweep(run_sweep(spec, jobs), out, formats=formats)
-
-
-def _scenario_fig5a(out, dims, jobs, formats):
-    spec = SweepSpec(
-        axes=(Axis("theta", 0.0, math.pi, 61), Axis("kappa_b", 0.0, 2.0, 41)),
-        fixed=baseline_params(),
-        dims=dims,
-        outputs=("t_fwd", "t_bwd", "isolation"),
-        name="fig5a",
-    )
-    return emit_sweep(run_sweep(spec, jobs), out, formats=formats)
-
-
-def _scenario_fig5b(out, dims, jobs, formats):
-    spec = SweepSpec(
-        axes=(Axis("theta", 0.0, math.pi, 61), Axis("kappa_b", 0.0, 2.0, 41)),
-        fixed=baseline_params(),
-        dims=dims,
-        outputs=("g2_fwd", "g2_bwd", "ratio"),
-        name="fig5b",
-    )
-    return emit_sweep(run_sweep(spec, jobs), out, formats=formats)
-
-
-def _scenario_fig5c(out, dims, jobs, formats):
-    spec = SweepSpec(
-        axes=(Axis("theta", 0.0, math.pi, 81),),
-        fixed=baseline_params(),
-        dims=dims,
-        outputs=("t_fwd", "t_bwd", "g2_fwd", "g2_bwd", "isolation", "ratio"),
-        name="fig5c",
-    )
-    return emit_sweep(run_sweep(spec, jobs), out, formats=formats)
-
-
-def _scenario_smatrix_check(out, dims, jobs, formats):
+def _smatrix_check_table(out, dims, formats):
     """Closed-form transmissions against the numerically inverted network.
 
     Port losses deliberately differ from 1 so the two trailing-loss-factor
@@ -826,7 +731,7 @@ def _scenario_smatrix_check(out, dims, jobs, formats):
     return emit_table(out, "smatrix_check", columns, rows, extra, formats)
 
 
-def _scenario_conditions_check(out, dims, jobs, formats):
+def _conditions_check_table(out, dims, formats):
     """Verify the complete-transmission working points through the S-matrix."""
     columns = [
         "theta", "direction", "delta", "j_ac", "effective_theta", "phase_folded",
@@ -855,22 +760,13 @@ def _scenario_conditions_check(out, dims, jobs, formats):
     return emit_table(out, "conditions_check", columns, rows, {"kappa": 1.0}, formats)
 
 
-SCENARIOS = {
-    "fig2a": _scenario_fig2a,
-    "fig2b": _scenario_fig2b,
-    "fig2c": _scenario_fig2c,
-    "fig2d": _scenario_fig2d,
-    "fig2e": _scenario_fig2e,
-    "fig2f": _scenario_fig2f,
-    "fig3": _scenario_fig3,
-    "fig4": _scenario_fig4,
-    "fig5a": _scenario_fig5a,
-    "fig5b": _scenario_fig5b,
-    "fig5c": _scenario_fig5c,
-    "smatrix-check": _scenario_smatrix_check,
-    "conditions-check": _scenario_conditions_check,
+# tables a scenario writes after its sweeps, built by (out_dir, dims, formats)
+_SCENARIO_TABLES = {
+    "fig3": _fig3c_table,
+    "smatrix-check": _smatrix_check_table,
+    "conditions-check": _conditions_check_table,
 }
-SCENARIO_NAMES = tuple(SCENARIOS)
+SCENARIO_NAMES = (*_SCENARIO_SWEEPS, "smatrix-check", "conditions-check")
 
 
 def scenario(
@@ -881,12 +777,25 @@ def scenario(
     formats: tuple[str, ...] = ("csv", "json"),
 ) -> list[Path]:
     """Emit the data files behind a named figure or consistency check."""
-    if name not in SCENARIOS:
+    if name not in SCENARIO_NAMES:
         raise ConfigError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         )
     dims = _parse_dims(dims)
-    return SCENARIOS[name](Path(out_dir), dims, jobs, formats)
+    out_dir = Path(out_dir)
+    if name in _TWO_CAVITY_SCENARIOS:
+        fixed, sweep_dims = two_cavity_params(), _two_cavity_dims(dims)
+    else:
+        fixed, sweep_dims = baseline_params(), dims
+    files = []
+    for basename, axes, outputs in _SCENARIO_SWEEPS.get(name, ()):
+        spec = SweepSpec(
+            axes=axes, fixed=fixed, dims=sweep_dims, outputs=outputs, name=basename
+        )
+        files += emit_sweep(run_sweep(spec, jobs), out_dir, formats=formats)
+    if name in _SCENARIO_TABLES:
+        files += _SCENARIO_TABLES[name](out_dir, dims, formats)
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -904,9 +813,8 @@ def load_point_config(doc: dict) -> tuple[SystemParams, tuple[int, ...], str, bo
     params = params_from_dict(doc["params"])
     dims = _parse_dims(doc.get("dims"))
     directions = doc.get("directions", "both")
+    _drive_sides(directions)
     convergence = bool(doc.get("convergence_check", False))
-    if directions not in ("both", "left", "right"):
-        raise ConfigError(f"directions must be 'both', 'left' or 'right', got {directions!r}")
     return params, dims, directions, convergence
 
 
@@ -972,29 +880,19 @@ def _point_result_doc(result: PointResult) -> dict:
 def _cmd_point(args) -> int:
     doc = _load_json(args.config)
     params, dims, directions, convergence = load_point_config(doc)
-    if args.dims:
+    if args.dims is not None:
         dims = _parse_dims(args.dims)
     result = run_point(
         params, dims=dims, directions=directions, convergence_check=convergence
     )
-    if args.format == "json":
-        text = json.dumps(_point_result_doc(result), indent=1) + "\n"
-    else:
-        columns = (
-            _value_columns(dims, convergence) + _DIAG_COLUMNS
-        )
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerow([_format_cell(_result_cell(result, c)) for c in columns])
-        text = buf.getvalue()
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
+        if args.format == "json":
+            fh.write(json.dumps(_point_result_doc(result), indent=1) + "\n")
+        else:
+            columns = _value_columns(dims, convergence) + _DIAG_COLUMNS
+            write_csv(fh, columns, [_point_row((), result, columns)])
     if args.out:
-        Path(args.out).write_text(text)
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -1004,7 +902,7 @@ def _formats(args) -> tuple[str, ...]:
 
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(_load_json(args.spec))
-    if args.dims:
+    if args.dims is not None:
         spec = dataclasses.replace(spec, dims=_parse_dims(args.dims))
     result = run_sweep(spec, jobs=args.jobs)
     files = emit_sweep(result, Path(args.out), formats=_formats(args))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+from scipy import special
 
 from .errors import (
     InsufficientPopulationError,
@@ -123,7 +123,10 @@ def poisson_reference(mean: float, m_max: int) -> np.ndarray:
         raise ValueError(f"mean must be >= 0, got {mean}")
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
-    return poisson.pmf(np.arange(m_max + 1), mean)
+    # the log form scipy.stats.poisson.pmf evaluates; importing scipy.stats
+    # for it would dominate the package's import time
+    k = np.arange(m_max + 1)
+    return np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
 
 
 def isolation(t_fwd: float, t_bwd: float) -> float:

@@ -113,6 +113,24 @@ class TestRunPoint:
         with pytest.raises(ConfigError):
             run_point(baseline_params(), directions="sideways")
 
+    @pytest.mark.parametrize("directions", ["sideways", ["left"]])
+    def test_invalid_directions_same_message_everywhere(self, directions):
+        message = (
+            "directions must be 'both', 'left' or 'right', got "
+            + repr(directions)
+        )
+        with pytest.raises(ConfigError) as run_exc:
+            run_point(baseline_params(), directions=directions)
+        with pytest.raises(ConfigError) as spec_exc:
+            SweepSpec(
+                axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(),
+                directions=directions,
+            )
+        with pytest.raises(ConfigError) as config_exc:
+            load_point_config({"params": {}, "directions": directions})
+        for exc in (run_exc, spec_exc, config_exc):
+            assert str(exc.value) == message
+
 
 class TestSweepSpec:
     def test_axis_validation(self):
@@ -293,6 +311,13 @@ class TestConfigDocuments:
         assert directions == "left"
         assert not convergence
 
+    @pytest.mark.parametrize("dims", [0, -1, [0, 0, 0], [3, 0, 3]])
+    def test_dims_below_one_rejected(self, dims):
+        with pytest.raises(ConfigError, match="dims must be >= 1"):
+            load_point_config({"params": {}, "dims": dims})
+        with pytest.raises(ConfigError, match="dims must be >= 1"):
+            scenario("fig2a", dims=dims)
+
     def test_point_config_unknown_key(self):
         with pytest.raises(ConfigError):
             load_point_config({"params": {}, "grid": []})
@@ -351,6 +376,38 @@ class TestCommandLine:
         assert main(["sweep", str(spec), "--out", str(tmp_path), "--jobs", "1"]) == 0
         assert (tmp_path / "cli_demo.csv").exists()
         assert (tmp_path / "cli_demo_manifest.json").exists()
+
+    def test_point_command_csv_stdout_matches_file(self, tmp_path, capsys):
+        config = tmp_path / "point.json"
+        config.write_text(json.dumps({
+            "params": {"omega": 0.1, "j_ac": 0.7}, "dims": [3, 1, 3],
+        }))
+        out = tmp_path / "point.csv"
+        assert main(["point", str(config), "--format", "csv", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["point", str(config), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    @pytest.mark.parametrize("command, doc", [
+        ("point", {"params": {"omega": 0.1}}),
+        ("sweep", {
+            "axes": [{"name": "delta", "start": -1, "stop": 1, "count": 2}],
+            "fixed": {"omega": 0.1},
+        }),
+        ("scenario", None),
+    ])
+    def test_dims_zero_is_config_error(self, tmp_path, capsys, command, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {
+            "point": ["point", str(config)],
+            "sweep": ["sweep", str(config), "--out", str(out), "--jobs", "1"],
+            "scenario": ["scenario", "fig2a", "--out", str(out), "--jobs", "1"],
+        }[command]
+        assert main(argv + ["--dims", "0"]) == 2
+        assert "dims must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scenario_command(self, tmp_path):
         assert main(["scenario", "conditions-check", "--out", str(tmp_path)]) == 0
