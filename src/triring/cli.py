@@ -355,6 +355,12 @@ class SweepSpec:
         if self.outputs is not None:
             allowed = set(_value_columns(self.dims, self.convergence_check))
             unknown = [c for c in self.outputs if c not in allowed]
+            truncated = [c for c in unknown if c in _value_columns((P_M_MAX,) * 3, False)]
+            if truncated:
+                raise ConfigError(
+                    f"output columns {truncated} do not exist at dims {self.dims}: "
+                    "p<m>_fwd needs dims[c] > m and p<m>_bwd needs dims[a] > m"
+                )
             if unknown:
                 raise ConfigError(
                     f"unknown output columns {unknown}; allowed: {sorted(allowed)}"

@@ -12,17 +12,16 @@ generator of d vec(rho)/dt = L vec(rho) is
 The default steady-state solver replaces one Liouvillian row by the trace
 functional and solves the resulting nonsingular sparse system with GMRES,
 preconditioned by the exact inverse of the no-jump part of the generator
-(a few dense D x D products per iteration).  A sparse direct
-factorization of the same system is the automatic fallback, and a
-null-space extraction is kept as an independent method.  ``evolve``
-integrates the master equation in matrix form (never touching the
-superoperator), providing a cross-check that shares no code path with
-the algebraic solvers.
+(a few dense D x D products per iteration).  It has no second path, so
+a solve runs in bounded time and memory and a failure raises
+``NoConvergenceError``.  A null-space extraction is kept as an independent
+method.  ``evolve`` integrates the master equation in matrix form (never
+touching the superoperator), providing a cross-check that shares no code
+path with the algebraic solvers.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -57,7 +56,7 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_FLOOR = -1e-8
 
-# largest dense dimension (D^2) for which the null-space fallback uses an
+# largest dense dimension (D^2) for which the null-space method uses an
 # exact SVD; above this it switches to shift-inverted sparse eigenpairs
 _DENSE_NULLSPACE_LIMIT = 4096
 
@@ -128,21 +127,27 @@ class DensityMatrix:
         return rho
 
     def validate(self) -> None:
-        herm = float(np.abs(self.data - self.data.conj().T).max())
-        if herm >= HERMITICITY_TOL:
-            raise NonPhysicalStateError(
-                f"density matrix is not Hermitian: max |rho - rho'| = {herm:.3e}"
-            )
-        tr = complex(np.trace(self.data))
-        if abs(tr - 1.0) >= TRACE_TOL:
-            raise NonPhysicalStateError(
-                f"density matrix trace deviates from one by {abs(tr - 1.0):.3e}"
-            )
-        lo = float(np.linalg.eigvalsh(0.5 * (self.data + self.data.conj().T)).min())
-        if lo <= POSITIVITY_FLOOR:
-            raise NonPhysicalStateError(
-                f"density matrix has eigenvalue {lo:.3e} below the positivity floor"
-            )
+        _check_state(self.data)
+
+
+def _check_state(data: np.ndarray) -> float:
+    """Check hermiticity, trace and positivity; return the smallest eigenvalue."""
+    herm = float(np.abs(data - data.conj().T).max())
+    if herm >= HERMITICITY_TOL:
+        raise NonPhysicalStateError(
+            f"density matrix is not Hermitian: max |rho - rho'| = {herm:.3e}"
+        )
+    tr = complex(np.trace(data))
+    if abs(tr - 1.0) >= TRACE_TOL:
+        raise NonPhysicalStateError(
+            f"density matrix trace deviates from one by {abs(tr - 1.0):.3e}"
+        )
+    lo = float(np.linalg.eigvalsh(0.5 * (data + data.conj().T)).min())
+    if lo <= POSITIVITY_FLOOR:
+        raise NonPhysicalStateError(
+            f"density matrix has eigenvalue {lo:.3e} below the positivity floor"
+        )
+    return lo
 
 
 @dataclass(frozen=True)
@@ -241,18 +246,15 @@ def _finalize(
             residual=residual,
             bound=bound,
         )
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
     diag = SolveDiagnostics(
         method=method,
         residual=residual,
         residual_bound=bound,
         hermiticity_defect=herm_defect,
         trace_defect=trace_defect,
-        min_eigenvalue=min_eig,
+        min_eigenvalue=_check_state(rho),
     )
-    return DensityMatrix.from_array(
-        liouv.space, rho, enforce=False, diagnostics=diag
-    )
+    return DensityMatrix(liouv.space, rho, diag)
 
 
 def _constrained_system(liouv: Superoperator):
@@ -329,17 +331,24 @@ def _gmres(constrained, rhs, preconditioner, rtol):
         return spla.gmres(constrained, rhs, tol=rtol, **kwargs)
 
 
+def _no_convergence(step: str, residual=float("inf"), bound=None) -> NoConvergenceError:
+    message = f"trace-constrained solve failed at the {step}; try the null-space method"
+    return NoConvergenceError(message, residual, bound)
+
+
 def _gmres_refined(constrained, rhs, preconditioner):
     """GMRES plus iterative refinement.
 
     Correlation tails (g3 at deep-blockade points) sit many orders below
     the leading density-matrix entries, so the solve is refined until the
     constrained residual is near machine precision, not just below the
-    acceptance bound.
+    acceptance bound.  A failed first run raises; a failed refinement round
+    keeps the previous iterate.
     """
     x, info = _gmres(constrained, rhs, preconditioner, rtol=1e-11)
-    if info != 0 or not np.all(np.isfinite(x)):
-        return x, info
+    finite = bool(np.all(np.isfinite(x)))
+    if info != 0 or not finite:
+        raise _no_convergence(f"GMRES run (info={info}, finite={finite})")
     norm_rhs = float(np.linalg.norm(rhs))
     for _ in range(3):
         residual = rhs - constrained @ x
@@ -349,37 +358,19 @@ def _gmres_refined(constrained, rhs, preconditioner):
         if info != 0 or not np.all(np.isfinite(dx)):
             break
         x = x + dx
-    return x, 0 if np.all(np.isfinite(x)) else info
+    return x
 
 
 def _solve_trace_constrained(liouv: Superoperator, opts: SteadyStateOptions) -> DensityMatrix:
     constrained, rhs = _constrained_system(liouv)
     preconditioner = _no_jump_preconditioner(liouv)
-    if preconditioner is not None:
-        x, info = _gmres_refined(constrained, rhs, preconditioner)
-        if info == 0 and np.all(np.isfinite(x)):
-            try:
-                return _finalize(
-                    liouv, x, opts, SteadyStateMethod.TRACE_CONSTRAINED.value
-                )
-            except NoConvergenceError:
-                pass  # retry below with the direct factorization
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", spla.MatrixRankWarning)
-        try:
-            x = spla.spsolve(constrained.tocsc(), rhs)
-        except (spla.MatrixRankWarning, RuntimeError) as exc:
-            raise NoConvergenceError(
-                "trace-constrained solve hit a singular factorization; the kernel "
-                "may be degenerate (try the null-space method)",
-                residual=float("inf"),
-            ) from exc
-    if not np.all(np.isfinite(x)):
-        raise NoConvergenceError(
-            "trace-constrained solve returned non-finite entries",
-            residual=float("inf"),
-        )
-    return _finalize(liouv, x, opts, SteadyStateMethod.TRACE_CONSTRAINED.value)
+    if preconditioner is None:
+        raise _no_convergence("preconditioner (no usable eigendecomposition of H_eff)")
+    x = _gmres_refined(constrained, rhs, preconditioner)
+    try:
+        return _finalize(liouv, x, opts, SteadyStateMethod.TRACE_CONSTRAINED.value)
+    except NoConvergenceError as exc:
+        raise _no_convergence(f"acceptance check ({exc})", exc.residual, exc.bound) from exc
 
 
 def _solve_null_space(liouv: Superoperator, opts: SteadyStateOptions) -> DensityMatrix:
@@ -420,11 +411,12 @@ def steady_state(
     """Solve L vec(rho) = 0 with tr(rho) = 1.
 
     The returned state is hermitized and trace-renormalized, carries
-    :class:`SolveDiagnostics`, and satisfies the density-matrix invariants.
-    Raises :class:`NoConvergenceError` if the final residual exceeds
-    ``residual_tol * ||L||_F * ||vec(rho)||`` and
-    :class:`NonUniqueSteadyStateError` when the null-space method detects a
-    degenerate kernel.
+    :class:`SolveDiagnostics`, and passes the density-matrix checks (run
+    once per solve).  The trace-constrained method is preconditioned GMRES
+    alone: it raises :class:`NoConvergenceError` naming the failed step
+    (preconditioner, GMRES run, or a residual above ``residual_tol *
+    ||L||_F * ||vec(rho)||``).  The null-space method raises
+    :class:`NonUniqueSteadyStateError` when the kernel is degenerate.
     """
     opts = opts or SteadyStateOptions()
     if opts.method is SteadyStateMethod.TRACE_CONSTRAINED:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from triring import DriveSide, PointEvaluationError, SystemParams
 from triring.errors import ConfigError, SweepCapError
@@ -109,6 +110,24 @@ class TestRunPoint:
         assert result.drift_t_fwd is not None and result.drift_t_fwd < 0.02
         assert result.drift_g2_fwd is not None
 
+    def test_gmres_failure_in_one_direction_flagged(self, monkeypatch, fig2_point_444):
+        gmres = spla.gmres
+        calls = []
+
+        def fail_first_call(matrix, rhs, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:  # the forward solve runs first
+                return np.zeros_like(rhs), 1
+            return gmres(matrix, rhs, **kwargs)
+
+        monkeypatch.setattr(spla, "gmres", fail_first_call)
+        result = run_point(baseline_params(), dims=(4, 4, 4), strict=False)
+        assert "NoConvergenceError" in result.error_fwd
+        assert "GMRES run (info=1" in result.error_fwd
+        assert result.t_fwd is None and result.isolation is None
+        for name in ("t", "g2", "g3", "p_m", "n_a", "n_b", "n_c", "residual", "error"):
+            assert getattr(result, f"{name}_bwd") == getattr(fig2_point_444, f"{name}_bwd")
+
     def test_invalid_directions(self):
         with pytest.raises(ConfigError):
             run_point(baseline_params(), directions="sideways")
@@ -162,6 +181,22 @@ class TestSweepSpec:
                 fixed=baseline_params(),
                 outputs=("t_fwd", "nonsense"),
             )
+
+    @pytest.mark.parametrize("dims, missing", [
+        ((3, 3, 3), ["p3_fwd", "p3_bwd"]),
+        ((4, 3, 3), ["p3_fwd"]),
+        ((3, 3, 4), ["p3_bwd"]),
+    ])
+    def test_truncated_p_columns_name_the_truncation(self, dims, missing):
+        with pytest.raises(ConfigError) as exc:
+            SweepSpec(
+                axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(),
+                dims=dims, outputs=("t_fwd", "p3_fwd", "p3_bwd"),
+            )
+        assert str(exc.value) == (
+            f"output columns {missing} do not exist at dims {dims}: "
+            "p<m>_fwd needs dims[c] > m and p<m>_bwd needs dims[a] > m"
+        )
 
     def test_grid_is_row_major(self):
         spec = SweepSpec(
@@ -407,6 +442,15 @@ class TestCommandLine:
         }[command]
         assert main(argv + ["--dims", "0"]) == 2
         assert "dims must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fig4_below_its_truncation_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["scenario", "fig4", "--dims", "3", "--out", str(out), "--jobs", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "['p3_fwd', 'p3_bwd'] do not exist at dims (3, 3, 3)" in err
+        assert "p<m>_fwd needs dims[c] > m and p<m>_bwd needs dims[a] > m" in err
         assert not out.exists()
 
     def test_scenario_command(self, tmp_path):

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import triring.lindblad as lindblad
 from triring import (
     CompositeSpace,
     DensityMatrix,
+    NoConvergenceError,
     NonPhysicalStateError,
     NonUniqueSteadyStateError,
     Operator,
     SpaceMismatchError,
+    Superoperator,
     SteadyStateMethod,
     SteadyStateOptions,
     StepTooLargeError,
@@ -148,6 +152,75 @@ class TestSteadyState:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SteadyStateOptions(residual_tol=0.0)
+
+    def test_one_state_eigendecomposition_per_solve(self, monkeypatch, fig2_params):
+        space = CompositeSpace((3, 3, 3))
+        h = build_hamiltonian(fig2_params, space)
+        liouv = build_liouvillian(h, collapse_operators(fig2_params, space))
+        eigvalsh = np.linalg.eigvalsh
+        shapes = []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        opts = [None, SteadyStateOptions(method=SteadyStateMethod.NULL_SPACE)]
+        states = [steady_state(liouv, o) for o in opts]
+        assert shapes.count((space.dim, space.dim)) == len(opts)
+        for rho in states:
+            # the diagnostic describes the returned state itself
+            assert rho.diagnostics.min_eigenvalue == eigvalsh(rho.data).min()
+
+
+def driven_cavity():
+    a = annihilation(6)
+    return build_liouvillian(0.3 * number(6) + 0.1 * (a + a.dag()), [a])
+
+
+class TestSteadyStateFailures:
+    """Each way the GMRES path can fail raises, with no second solver behind it."""
+
+    @pytest.fixture(autouse=True)
+    def no_spsolve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spla, "spsolve", lambda *a, **k: calls.append(a))
+        yield
+        assert calls == []
+
+    def test_preconditioner_unavailable(self, monkeypatch):
+        liouv = driven_cavity()
+        bare = Superoperator(liouv.space, liouv.data)  # no (H, C_k) to build H_eff from
+        with pytest.raises(NoConvergenceError, match="at the preconditioner") as exc:
+            steady_state(bare)
+        assert str(exc.value).endswith("try the null-space method")
+        monkeypatch.setattr(np.linalg, "cond", lambda v: 1e9)  # ill-conditioned V
+        with pytest.raises(NoConvergenceError, match="at the preconditioner"):
+            steady_state(liouv)
+
+    @pytest.mark.parametrize("info, fill, shown", [
+        (1, 0.0, r"info=1, finite=True"),
+        (-1, 0.0, r"info=-1, finite=True"),
+        (0, np.nan, r"info=0, finite=False"),
+    ])
+    def test_gmres_failure(self, monkeypatch, info, fill, shown):
+        monkeypatch.setattr(
+            spla, "gmres", lambda matrix, rhs, **kw: (np.full_like(rhs, fill), info)
+        )
+        with pytest.raises(NoConvergenceError, match=r"at the GMRES run \(" + shown):
+            steady_state(driven_cavity())
+
+    def test_residual_above_bound(self, monkeypatch):
+        refined = lindblad._gmres_refined
+
+        def perturbed(constrained, rhs, preconditioner):
+            return refined(constrained, rhs, preconditioner) + 1e-6
+
+        monkeypatch.setattr(lindblad, "_gmres_refined", perturbed)
+        with pytest.raises(NoConvergenceError, match="at the acceptance check") as exc:
+            steady_state(driven_cavity())
+        assert "exceeds bound" in str(exc.value)
+        assert exc.value.residual > exc.value.bound > 0
 
 
 class TestDensityMatrix:
