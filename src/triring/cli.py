@@ -4,7 +4,7 @@ Subcommands:
 
     point <config.json>     evaluate one parameter point (both directions)
     sweep <spec.json>       evaluate a 1D/2D grid, emit CSV/JSON + manifest
-    scenario <name>         emit the data behind a named figure or check
+    scenario <name> ...     emit the data behind named figures or checks
     validate <config.json>  check a config document without running it
 
 CSV output is deterministic: fixed column order, row-major grid order,
@@ -122,7 +122,7 @@ def params_from_dict(doc: dict) -> SystemParams:
     for key, value in doc.items():
         if key in _SHORTHAND:
             for target in _SHORTHAND[key]:
-                fields[target] = float(value)
+                fields[target] = _config_float(value, f"parameter {key!r}")
         elif key == "drive":
             try:
                 fields["drive"] = DriveSide(str(value).lower())
@@ -131,7 +131,7 @@ def params_from_dict(doc: dict) -> SystemParams:
                     f"drive must be 'left' or 'right', got {value!r}"
                 ) from None
         elif key in _PARAM_KEYS:
-            fields[key] = float(value)
+            fields[key] = _config_float(value, f"parameter {key!r}")
         else:
             allowed = sorted(_PARAM_KEYS | set(_SHORTHAND))
             raise ConfigError(f"unknown parameter {key!r}; allowed: {allowed}")
@@ -147,15 +147,37 @@ def params_to_dict(params: SystemParams) -> dict:
     return doc
 
 
+def _config_float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _is_integral(value) -> bool:
+    # bool is an int subclass, and 4.0 is as good as 4; 4.7 and "4" are not
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, np.integer)) or (
+        isinstance(value, float) and value.is_integer()
+    )
+
+
+def _config_int(value, what: str) -> int:
+    if not _is_integral(value):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_dims(value, default=DEFAULT_DIMS) -> tuple[int, ...]:
     if value is None:
         return tuple(default)
-    dims = (value,) * 3 if isinstance(value, int) else tuple(int(d) for d in value)
-    if len(dims) != 3:
-        raise ConfigError(f"dims must have 3 entries (a, b, c), got {dims}")
-    if any(d < 1 for d in dims):
-        raise ConfigError(f"dims must be >= 1, got {dims}")
-    return dims
+    entries = tuple(value) if isinstance(value, (list, tuple)) else (value,) * 3
+    if len(entries) != 3:
+        raise ConfigError(f"dims must have 3 entries (a, b, c), got {entries}")
+    if not all(_is_integral(d) and d >= 1 for d in entries):
+        raise ConfigError(f"dims must be >= 1 and whole numbers, got {value!r}")
+    return tuple(int(d) for d in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +439,35 @@ def _point_row(axes_values, result: PointResult, columns) -> list:
     return row
 
 
-def _sweep_worker(args) -> PointResult:
-    spec, values = args
+def _point_key(spec: SweepSpec, values: tuple[float, ...]) -> tuple:
+    """``(params, dims, directions, convergence_check)`` of one grid point.
+
+    These are the arguments the sweep passes to ``run_point`` and, since
+    they determine its result, the key of a point memo.
+    """
     params = spec.fixed
     for ax, value in zip(spec.axes, values):
         params = apply_axis(params, ax.name, value)
+    return params, tuple(spec.dims), spec.directions, spec.convergence_check
+
+
+def _sweep_worker(key: tuple) -> PointResult:
+    params, dims, directions, convergence_check = key
     return run_point(
         params,
-        dims=spec.dims,
-        directions=spec.directions,
-        convergence_check=spec.convergence_check,
+        dims=dims,
+        directions=directions,
+        convergence_check=convergence_check,
         strict=False,
     )
+
+
+def _evaluate(keys: list[tuple], jobs: int) -> list[PointResult]:
+    """``run_point`` at each key, in order, serially or with a process pool."""
+    if jobs > 1 and len(keys) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_sweep_worker, keys, chunksize=8))
+    return [_sweep_worker(key) for key in keys]
 
 
 @dataclass
@@ -453,22 +492,32 @@ class SweepResult:
         return max(residuals) if residuals else None
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
+def run_sweep(
+    spec: SweepSpec, jobs: int = 1, memo: dict | None = None
+) -> SweepResult:
     """Evaluate every grid point, serially or with a process pool.
 
     Results are ordered by grid index regardless of worker scheduling, so
     parallel and serial runs produce identical tables.
+
+    ``memo`` is an optional caller-owned dict from
+    ``(params, dims, directions, convergence_check)`` to ``PointResult``.
+    With one, only the grid points it does not hold are evaluated, each
+    once (with ``jobs > 1`` only those go to the pool), and their results
+    are added to it.  The caller keeps a memo only as long as ``run_point``
+    stays the same function.  Without one, every grid point is evaluated.
     """
     start = time.monotonic()
     grid = spec.grid()
-    tasks = [(spec, values) for values in grid]
+    keys = [_point_key(spec, values) for values in grid]
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs > 1 and len(grid) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, tasks, chunksize=8))
+    if memo is None:
+        results = _evaluate(keys, jobs)
     else:
-        results = [_sweep_worker(task) for task in tasks]
+        missing = [key for key in dict.fromkeys(keys) if key not in memo]
+        memo.update(zip(missing, _evaluate(missing, jobs)))
+        results = [memo[key] for key in keys]
 
     axis_cols = [ax.name for ax in spec.axes]
     value_cols = _value_columns(spec.dims, spec.convergence_check)
@@ -774,6 +823,22 @@ _SCENARIO_TABLES = {
 }
 SCENARIO_NAMES = (*_SCENARIO_SWEEPS, "smatrix-check", "conditions-check")
 
+# (run_point, dims, memo): the sweep points scenario() has solved in this
+# process, kept across calls because scenarios share grids (fig2a/fig2d,
+# fig3/fig4, ...).  A different run_point on the module, such as a fake or a
+# timing wrapper, or a different dims starts a new memo, so no evaluator is
+# given another's results and at most one dims' worth of points is held.
+_scenario_memo: tuple = (None, None, {})
+
+
+def _scenario_point_memo(dims: tuple[int, ...]) -> dict:
+    global _scenario_memo
+    solver, memo_dims, memo = _scenario_memo
+    if solver is not run_point or memo_dims != dims:
+        memo = {}
+        _scenario_memo = (run_point, dims, memo)
+    return memo
+
 
 def scenario(
     name: str,
@@ -782,7 +847,12 @@ def scenario(
     jobs: int = 1,
     formats: tuple[str, ...] = ("csv", "json"),
 ) -> list[Path]:
-    """Emit the data files behind a named figure or consistency check."""
+    """Emit the data files behind a named figure or consistency check.
+
+    Sweep points already solved by an earlier call in this process, at the
+    same ``dims`` and with the same ``run_point``, are reused rather than
+    solved again; the files written are the same either way.
+    """
     if name not in SCENARIO_NAMES:
         raise ConfigError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
@@ -798,7 +868,8 @@ def scenario(
         spec = SweepSpec(
             axes=axes, fixed=fixed, dims=sweep_dims, outputs=outputs, name=basename
         )
-        files += emit_sweep(run_sweep(spec, jobs), out_dir, formats=formats)
+        result = run_sweep(spec, jobs, memo=_scenario_point_memo(dims))
+        files += emit_sweep(result, out_dir, formats=formats)
     if name in _SCENARIO_TABLES:
         files += _SCENARIO_TABLES[name](out_dir, dims, formats)
     return files
@@ -835,20 +906,27 @@ def load_sweep_spec(doc: dict) -> SweepSpec:
         raise ConfigError(f"unknown sweep-spec keys: {sorted(unknown)}")
     if "axes" not in doc or "fixed" not in doc:
         raise ConfigError("sweep spec needs 'axes' and 'fixed'")
+    if not isinstance(doc["axes"], list):
+        raise ConfigError(f"axes must be a list of axis objects, got {doc['axes']!r}")
     axes = []
     for entry in doc["axes"]:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"axis entries must be objects, got {entry!r}")
         missing = {"name", "start", "stop", "count"} - set(entry)
         if missing:
             raise ConfigError(f"axis entry missing keys: {sorted(missing)}")
+        label = f"axis {entry['name']!r}"
         axes.append(
             Axis(
                 name=str(entry["name"]),
-                start=float(entry["start"]),
-                stop=float(entry["stop"]),
-                count=int(entry["count"]),
+                start=_config_float(entry["start"], f"{label} start"),
+                stop=_config_float(entry["stop"], f"{label} stop"),
+                count=_config_int(entry["count"], f"{label} count"),
             )
         )
     outputs = doc.get("outputs")
+    if outputs is not None and not isinstance(outputs, list):
+        raise ConfigError(f"outputs must be a list of column names, got {outputs!r}")
     return SweepSpec(
         axes=tuple(axes),
         fixed=params_from_dict(doc["fixed"]),
@@ -856,7 +934,7 @@ def load_sweep_spec(doc: dict) -> SweepSpec:
         dims=_parse_dims(doc.get("dims")),
         outputs=None if outputs is None else tuple(outputs),
         convergence_check=bool(doc.get("convergence_check", False)),
-        point_cap=int(doc.get("point_cap", DEFAULT_POINT_CAP)),
+        point_cap=_config_int(doc.get("point_cap", DEFAULT_POINT_CAP), "point_cap"),
         name=str(doc.get("name", "sweep")),
     )
 
@@ -920,12 +998,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    files = scenario(
-        args.name, out_dir=args.out, dims=args.dims, jobs=args.jobs,
-        formats=_formats(args),
-    )
-    for path in files:
-        print(f"wrote {path}")
+    # one process for all names, so scenario() solves their shared grids once
+    for name in args.names:
+        files = scenario(
+            name, out_dir=args.out, dims=args.dims, jobs=args.jobs,
+            formats=_formats(args),
+        )
+        for path in files:
+            print(f"wrote {path}")
     return 0
 
 
@@ -977,8 +1057,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_scen = sub.add_parser("scenario", help="emit data for a named scenario")
-    p_scen.add_argument("name", choices=SCENARIO_NAMES)
+    p_scen = sub.add_parser("scenario", help="emit data for named scenarios")
+    p_scen.add_argument("names", nargs="+", choices=SCENARIO_NAMES, metavar="name",
+                        help=f"one or more of: {', '.join(SCENARIO_NAMES)}")
     p_scen.add_argument("--out", default=".", help="output directory")
     p_scen.add_argument("--dims", type=int, help="per-mode Fock truncation override")
     p_scen.add_argument("--jobs", type=int, default=None,

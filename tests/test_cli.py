@@ -2,11 +2,14 @@ import csv
 import json
 import math
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from triring import DriveSide, PointEvaluationError, SystemParams
+import triring.cli as cli
+from triring import DriveSide, PointEvaluationError, PointResult, SystemParams
 from triring.errors import ConfigError, SweepCapError
 from triring.cli import (
     Axis,
@@ -346,12 +349,17 @@ class TestConfigDocuments:
         assert directions == "left"
         assert not convergence
 
-    @pytest.mark.parametrize("dims", [0, -1, [0, 0, 0], [3, 0, 3]])
+    @pytest.mark.parametrize(
+        "dims", [0, -1, [0, 0, 0], [3, 0, 3], [4.7, 4, 4], True, [4, True, 4], "444"]
+    )
     def test_dims_below_one_rejected(self, dims):
         with pytest.raises(ConfigError, match="dims must be >= 1"):
             load_point_config({"params": {}, "dims": dims})
         with pytest.raises(ConfigError, match="dims must be >= 1"):
             scenario("fig2a", dims=dims)
+
+    def test_integral_float_dims_accepted(self):
+        assert load_point_config({"params": {}, "dims": [4.0, 1, 4]})[1] == (4, 1, 4)
 
     def test_point_config_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -457,6 +465,28 @@ class TestCommandLine:
         assert main(["scenario", "conditions-check", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "conditions_check.csv").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"params": {"delta": "abc"}}, "parameter 'delta' must be a number, got 'abc'"),
+        ({"params": {"omega": None}}, "parameter 'omega' must be a number, got None"),
+        ({"axes": [{"name": "delta", "start": "x", "stop": 1, "count": 3}], "fixed": {}},
+         "axis 'delta' start must be a number, got 'x'"),
+        ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2.5}], "fixed": {}},
+         "axis 'delta' count must be an integer, got 2.5"),
+        ({"axes": [3], "fixed": {}}, "axis entries must be objects, got 3"),
+        ({"axes": 3, "fixed": {}}, "axes must be a list of axis objects, got 3"),
+        ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}], "fixed": {},
+          "outputs": "t_fwd"},
+         "outputs must be a list of column names, got 't_fwd'"),
+        ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}], "fixed": {},
+          "point_cap": "many"},
+         "point_cap must be an integer, got 'many'"),
+    ])
+    def test_malformed_values_are_config_errors(self, tmp_path, capsys, doc, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert main(["validate", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_validate_command(self, tmp_path, capsys):
         config = tmp_path / "ok.json"
         config.write_text(json.dumps({"params": {"omega": 0.1}}))
@@ -479,3 +509,129 @@ class TestCommandLine:
         }))
         assert main(["point", str(config)]) == 1
         assert "undefined at zero drive" in capsys.readouterr().err
+
+
+def counting_run_point(monkeypatch, offset=0.0):
+    """Replace ``cli.run_point`` with a fake that records each call it gets.
+
+    Its fields are fixed functions of ``(params, dims)`` plus ``offset``, so
+    two fakes with different offsets write different files.
+    """
+    calls = []
+
+    def fake(params, dims=cli.DEFAULT_DIMS, directions="both",
+             convergence_check=False, strict=True):
+        calls.append((params, tuple(dims)))
+        x = offset + params.delta_a + 2.0 * params.kappa_b + 3.0 * params.theta
+        t = 1.0 / (1.0 + x * x)
+        return PointResult(
+            t_fwd=t, t_bwd=t / 2, isolation=t / 2,
+            g2_fwd=1.0 + x, g2_bwd=1.0 - x, g3_fwd=x, g3_bwd=-x, ratio=abs(x),
+            p_m_fwd=tuple(t ** m for m in range(dims[2])),
+            p_m_bwd=tuple(t ** m / 2 for m in range(dims[0])),
+            n_a_bwd=t, n_c_fwd=t,
+        )
+
+    monkeypatch.setattr(cli, "run_point", fake)
+    return calls
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestPointMemo:
+    @pytest.mark.parametrize("first, second, dims, first_calls", [
+        ("fig2a", "fig2d", 3, 101),
+        ("fig3", "fig4", 4, 83),  # 81 sweep points plus fig3c's two direct calls
+    ])
+    def test_shared_grid_solved_once(self, tmp_path, monkeypatch,
+                                     first, second, dims, first_calls):
+        calls = counting_run_point(monkeypatch)
+        scenario(first, tmp_path, dims=dims, jobs=1)
+        assert len(calls) == first_calls
+        scenario(second, tmp_path, dims=dims, jobs=1)
+        assert len(calls) == first_calls
+
+    def test_reused_points_write_the_same_files(self, tmp_path, monkeypatch):
+        counting_run_point(monkeypatch)
+        scenario("fig3", tmp_path / "fresh", dims=4, jobs=1)
+        calls = counting_run_point(monkeypatch)  # a new fake: a new, empty memo
+        scenario("fig4", tmp_path / "memo", dims=4, jobs=1)
+        scenario("fig3", tmp_path / "memo", dims=4, jobs=1)
+        assert len(calls) == 81 + 2
+        for stem in ("fig3ab", "fig3c"):
+            assert (tmp_path / "memo" / f"{stem}.csv").read_bytes() == (
+                tmp_path / "fresh" / f"{stem}.csv"
+            ).read_bytes()
+
+    def test_other_dims_start_empty(self, tmp_path, monkeypatch):
+        calls = counting_run_point(monkeypatch)
+        scenario("fig2a", tmp_path, dims=3, jobs=1)
+        scenario("fig2d", tmp_path, dims=4, jobs=1)
+        assert len(calls) == 202
+        assert {dims for _, dims in calls[101:]} == {(4, 1, 4)}
+        scenario("fig2a", tmp_path, dims=4, jobs=1)
+        assert len(calls) == 202
+
+    def test_other_run_point_starts_empty(self, tmp_path, monkeypatch):
+        counting_run_point(monkeypatch)
+        scenario("fig2a", tmp_path / "one", dims=3, jobs=1)
+        calls = counting_run_point(monkeypatch, offset=0.5)
+        scenario("fig2a", tmp_path / "two", dims=3, jobs=1)
+        assert len(calls) == 101
+        rows = read_rows(tmp_path / "two" / "fig2a.csv")
+        t_fwd = rows[0].index("t_fwd")
+        for row in rows[1:]:
+            x = 0.5 + float(row[0]) + 3.0 * (-math.pi / 4)
+            assert float(row[t_fwd]) == 1.0 / (1.0 + x * x)
+        scenario("fig2d", tmp_path / "two", dims=3, jobs=1)
+        assert len(calls) == 101
+
+    def test_no_memo_evaluates_every_point(self, monkeypatch):
+        calls = counting_run_point(monkeypatch)
+        run_sweep(tiny_spec(), jobs=1)
+        run_sweep(tiny_spec(), jobs=1)
+        assert len(calls) == 6
+
+    def test_pool_gets_only_the_missing_points(self, monkeypatch):
+        spec = SweepSpec(
+            axes=(Axis("delta", -1.0, 1.0, 4),), fixed=two_cavity_params(),
+            dims=(3, 1, 3),
+        )
+        full = {}
+        serial = run_sweep(spec, jobs=1, memo=full)
+        keys = list(full)
+        assert len(keys) == 4
+        memo = {key: full[key] for key in keys[:2]}
+        submitted = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                submitted.extend(iterables[0])
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        parallel = run_sweep(spec, jobs=2, memo=memo)
+        assert submitted == keys[2:]
+        assert parallel.rows == serial.rows == run_sweep(spec, jobs=1).rows
+        assert list(memo) == keys
+
+    def test_several_scenarios_in_one_command(self, tmp_path, monkeypatch):
+        calls = counting_run_point(monkeypatch)
+        names = ["fig2a", "fig2d", "fig3", "fig4"]
+        options = ["--dims", "4", "--jobs", "1", "--out"]
+        assert main(["scenario", *names, *options, str(tmp_path / "together")]) == 0
+        assert len(calls) == 101 + 83
+        for name in names:
+            counting_run_point(monkeypatch)
+            assert main(["scenario", name, *options, str(tmp_path / "apart")]) == 0
+        together = sorted(p.name for p in (tmp_path / "together").iterdir())
+        assert together == sorted(p.name for p in (tmp_path / "apart").iterdir())
+        assert len(together) == 5 * 3
+        for name in together:
+            if not name.endswith("_manifest.json"):
+                assert (tmp_path / "together" / name).read_bytes() == (
+                    tmp_path / "apart" / name
+                ).read_bytes()
