@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -148,6 +149,9 @@ def params_to_dict(params: SystemParams) -> dict:
 
 
 def _config_float(value, what: str) -> float:
+    # float() would turn true/false into 1.0/0.0
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -172,7 +176,11 @@ def _config_int(value, what: str) -> int:
 def _parse_dims(value, default=DEFAULT_DIMS) -> tuple[int, ...]:
     if value is None:
         return tuple(default)
-    entries = tuple(value) if isinstance(value, (list, tuple)) else (value,) * 3
+    # any iterable but a string gives one entry per mode; a scalar, all three
+    if isinstance(value, Iterable) and not isinstance(value, (str, bytes)):
+        entries = tuple(value)
+    else:
+        entries = (value,) * 3
     if len(entries) != 3:
         raise ConfigError(f"dims must have 3 entries (a, b, c), got {entries}")
     if not all(_is_integral(d) and d >= 1 for d in entries):
@@ -462,14 +470,6 @@ def _sweep_worker(key: tuple) -> PointResult:
     )
 
 
-def _evaluate(keys: list[tuple], jobs: int) -> list[PointResult]:
-    """``run_point`` at each key, in order, serially or with a process pool."""
-    if jobs > 1 and len(keys) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_worker, keys, chunksize=8))
-    return [_sweep_worker(key) for key in keys]
-
-
 @dataclass
 class SweepResult:
     spec: SweepSpec
@@ -502,22 +502,26 @@ def run_sweep(
 
     ``memo`` is an optional caller-owned dict from
     ``(params, dims, directions, convergence_check)`` to ``PointResult``.
-    With one, only the grid points it does not hold are evaluated, each
-    once (with ``jobs > 1`` only those go to the pool), and their results
-    are added to it.  The caller keeps a memo only as long as ``run_point``
-    stays the same function.  Without one, every grid point is evaluated.
+    Only the grid points it does not hold are evaluated, each once (with
+    ``jobs > 1`` only those go to the pool), and their results are added
+    to it.  The caller keeps a memo only as long as ``run_point`` stays the
+    same function.  Without one, each call starts from an empty memo, so
+    every distinct grid point is evaluated.
     """
     start = time.monotonic()
     grid = spec.grid()
     keys = [_point_key(spec, values) for values in grid]
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if memo is None:
-        results = _evaluate(keys, jobs)
+    memo = {} if memo is None else memo
+    missing = [key for key in dict.fromkeys(keys) if key not in memo]
+    if jobs > 1 and len(missing) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            solved = pool.map(_sweep_worker, missing, chunksize=8)
+            memo.update(zip(missing, solved))
     else:
-        missing = [key for key in dict.fromkeys(keys) if key not in memo]
-        memo.update(zip(missing, _evaluate(missing, jobs)))
-        results = [memo[key] for key in keys]
+        memo.update((key, _sweep_worker(key)) for key in missing)
+    results = [memo[key] for key in keys]
 
     axis_cols = [ax.name for ax in spec.axes]
     value_cols = _value_columns(spec.dims, spec.convergence_check)
@@ -823,20 +827,20 @@ _SCENARIO_TABLES = {
 }
 SCENARIO_NAMES = (*_SCENARIO_SWEEPS, "smatrix-check", "conditions-check")
 
-# (run_point, dims, memo): the sweep points scenario() has solved in this
-# process, kept across calls because scenarios share grids (fig2a/fig2d,
-# fig3/fig4, ...).  A different run_point on the module, such as a fake or a
-# timing wrapper, or a different dims starts a new memo, so no evaluator is
-# given another's results and at most one dims' worth of points is held.
-_scenario_memo: tuple = (None, None, {})
+# (run_point, memo): the sweep points scenario() has solved in this process,
+# kept across calls because scenarios share grids (fig2a/fig2d, fig3/fig4,
+# ...).  A different run_point on the module, such as a fake or a timing
+# wrapper, starts a new memo, so no evaluator is given another's results.
+# Points at different dims have different keys and are kept side by side.
+_scenario_memo: tuple = (None, {})
 
 
-def _scenario_point_memo(dims: tuple[int, ...]) -> dict:
+def _scenario_point_memo() -> dict:
     global _scenario_memo
-    solver, memo_dims, memo = _scenario_memo
-    if solver is not run_point or memo_dims != dims:
+    solver, memo = _scenario_memo
+    if solver is not run_point:
         memo = {}
-        _scenario_memo = (run_point, dims, memo)
+        _scenario_memo = (run_point, memo)
     return memo
 
 
@@ -849,9 +853,9 @@ def scenario(
 ) -> list[Path]:
     """Emit the data files behind a named figure or consistency check.
 
-    Sweep points already solved by an earlier call in this process, at the
-    same ``dims`` and with the same ``run_point``, are reused rather than
-    solved again; the files written are the same either way.
+    Sweep points already solved by an earlier call in this process with the
+    same ``run_point`` are reused rather than solved again; the files
+    written are the same either way.
     """
     if name not in SCENARIO_NAMES:
         raise ConfigError(
@@ -868,7 +872,7 @@ def scenario(
         spec = SweepSpec(
             axes=axes, fixed=fixed, dims=sweep_dims, outputs=outputs, name=basename
         )
-        result = run_sweep(spec, jobs, memo=_scenario_point_memo(dims))
+        result = run_sweep(spec, jobs, memo=_scenario_point_memo())
         files += emit_sweep(result, out_dir, formats=formats)
     if name in _SCENARIO_TABLES:
         files += _SCENARIO_TABLES[name](out_dir, dims, formats)

@@ -358,8 +358,11 @@ class TestConfigDocuments:
         with pytest.raises(ConfigError, match="dims must be >= 1"):
             scenario("fig2a", dims=dims)
 
-    def test_integral_float_dims_accepted(self):
-        assert load_point_config({"params": {}, "dims": [4.0, 1, 4]})[1] == (4, 1, 4)
+    @pytest.mark.parametrize("dims", [[4.0, 1, 4], np.array([4, 1, 4]), range(4, 1, -1)])
+    def test_integral_dims_accepted(self, dims):
+        assert load_point_config({"params": {}, "dims": dims})[1] == tuple(
+            int(d) for d in dims
+        )
 
     def test_point_config_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -468,6 +471,9 @@ class TestCommandLine:
     @pytest.mark.parametrize("doc, message", [
         ({"params": {"delta": "abc"}}, "parameter 'delta' must be a number, got 'abc'"),
         ({"params": {"omega": None}}, "parameter 'omega' must be a number, got None"),
+        ({"params": {"delta": True}}, "parameter 'delta' must be a number, got True"),
+        ({"axes": [{"name": "delta", "start": False, "stop": 1, "count": 3}], "fixed": {}},
+         "axis 'delta' start must be a number, got False"),
         ({"axes": [{"name": "delta", "start": "x", "stop": 1, "count": 3}], "fixed": {}},
          "axis 'delta' start must be a number, got 'x'"),
         ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2.5}], "fixed": {}},
@@ -566,13 +572,14 @@ class TestPointMemo:
                 tmp_path / "fresh" / f"{stem}.csv"
             ).read_bytes()
 
-    def test_other_dims_start_empty(self, tmp_path, monkeypatch):
+    def test_other_dims_are_kept_apart(self, tmp_path, monkeypatch):
         calls = counting_run_point(monkeypatch)
         scenario("fig2a", tmp_path, dims=3, jobs=1)
         scenario("fig2d", tmp_path, dims=4, jobs=1)
         assert len(calls) == 202
         assert {dims for _, dims in calls[101:]} == {(4, 1, 4)}
         scenario("fig2a", tmp_path, dims=4, jobs=1)
+        scenario("fig2d", tmp_path, dims=3, jobs=1)
         assert len(calls) == 202
 
     def test_other_run_point_starts_empty(self, tmp_path, monkeypatch):
