@@ -153,9 +153,20 @@ def _config_float(value, what: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    # json reads NaN, Infinity and -Infinity
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def _config_bool(value, what: str) -> bool:
+    # bool() would turn the string "false" into True
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def _is_integral(value) -> bool:
@@ -217,7 +228,8 @@ def _drive_sides(directions) -> tuple[DriveSide, ...]:
 
 
 def _solve_direction(params: SystemParams, dims: tuple[int, ...]) -> dict:
-    """Steady state and observables for one drive side."""
+    """Steady state and observables for one drive side, keyed by the
+    :class:`PointResult` field names without their ``_fwd``/``_bwd`` suffix."""
     space = CompositeSpace(dims)
     h = build_hamiltonian(params, space)
     c_ops = collapse_operators(params, space)
@@ -225,25 +237,24 @@ def _solve_direction(params: SystemParams, dims: tuple[int, ...]) -> dict:
     out_mode = MODE_C if params.drive is DriveSide.LEFT else MODE_A
     values = {
         "t": transmission(rho, params),
-        "residual": rho.diagnostics.residual if rho.diagnostics else None,
+        "residual": rho.diagnostics.residual,
         "n_a": mean_occupation(rho, MODE_A),
         "n_b": mean_occupation(rho, MODE_B) if dims[MODE_B] > 1 else 0.0,
         "n_c": mean_occupation(rho, MODE_C),
         "p_m": tuple(float(p) for p in photon_distribution(rho, out_mode)[:P_M_MAX]),
         "g2": None,
         "g3": None,
-        "g_error": None,
+        "error": None,
     }
     try:
         values["g2"] = correlation_g_n(rho, out_mode, 2)
         values["g3"] = correlation_g_n(rho, out_mode, 3)
     except InsufficientPopulationError as exc:
-        values["g_error"] = str(exc)
+        values["error"] = str(exc)
     return values
 
 
-def _direction_params(params: SystemParams, side: DriveSide) -> SystemParams:
-    return dataclasses.replace(params, drive=side)
+_SUFFIX = {DriveSide.LEFT: "fwd", DriveSide.RIGHT: "bwd"}
 
 
 def run_point(
@@ -260,71 +271,43 @@ def run_point(
     ``strict`` any failure raises :class:`PointEvaluationError` naming the
     failing direction; otherwise failures become error flags on the result.
     """
-    sides = _drive_sides(directions)
-
-    outcome: dict[DriveSide, dict] = {}
-    errors: dict[DriveSide, str] = {}
-    for side in sides:
+    fields: dict = {}
+    resolve_notes = []
+    for side in _drive_sides(directions):
+        suffix = _SUFFIX[side]
+        side_params = dataclasses.replace(params, drive=side)
         try:
-            outcome[side] = _solve_direction(_direction_params(params, side), dims)
+            values = _solve_direction(side_params, dims)
         except TriringError as exc:
             if strict:
                 label = "forward (drive left)" if side is DriveSide.LEFT else "backward (drive right)"
                 raise PointEvaluationError(
                     f"{label} evaluation failed: {exc}", direction=side.value
                 ) from exc
-            errors[side] = f"{type(exc).__name__}: {exc}"
+            fields[f"error_{suffix}"] = f"{type(exc).__name__}: {exc}"
+            continue
+        fields.update({f"{stem}_{suffix}": value for stem, value in values.items()})
+        if not convergence_check:
+            continue
+        finer = tuple(d + 1 if d > 1 else d for d in dims)
+        try:
+            refined = _solve_direction(side_params, finer)
+        except TriringError as exc:
+            resolve_notes.append(f"convergence re-solve failed ({suffix}): {exc}")
+            continue
+        fields[f"drift_t_{suffix}"] = _relative_drift(values["t"], refined["t"])
+        if values["g2"] is not None and refined["g2"] is not None:
+            fields[f"drift_g2_{suffix}"] = _relative_drift(values["g2"], refined["g2"])
 
-    fields: dict = {}
-    tag = {DriveSide.LEFT: "fwd", DriveSide.RIGHT: "bwd"}
-    for side in sides:
-        suffix = tag[side]
-        if side in outcome:
-            vals = outcome[side]
-            fields[f"t_{suffix}"] = float(vals["t"])
-            fields[f"g2_{suffix}"] = None if vals["g2"] is None else float(vals["g2"])
-            fields[f"g3_{suffix}"] = None if vals["g3"] is None else float(vals["g3"])
-            fields[f"p_m_{suffix}"] = vals["p_m"]
-            fields[f"n_a_{suffix}"] = float(vals["n_a"])
-            fields[f"n_b_{suffix}"] = float(vals["n_b"])
-            fields[f"n_c_{suffix}"] = float(vals["n_c"])
-            fields[f"residual_{suffix}"] = (
-                None if vals["residual"] is None else float(vals["residual"])
-            )
-            fields[f"error_{suffix}"] = vals["g_error"]
-        else:
-            fields[f"error_{suffix}"] = errors[side]
-
-    notes = None
+    notes = []
     if fields.get("t_fwd") is not None and fields.get("t_bwd") is not None:
         fields["isolation"] = isolation(fields["t_fwd"], fields["t_bwd"])
     if fields.get("g2_fwd") is not None and fields.get("g2_bwd") is not None:
         try:
             fields["ratio"] = nonreciprocal_ratio(fields["g2_fwd"], fields["g2_bwd"])
         except UndefinedRatioError as exc:
-            notes = str(exc)
-
-    if convergence_check:
-        finer = tuple(d + 1 if d > 1 else d for d in dims)
-        for side in sides:
-            if side not in outcome:
-                continue
-            suffix = tag[side]
-            try:
-                refined = _solve_direction(_direction_params(params, side), finer)
-            except TriringError as exc:
-                note = f"convergence re-solve failed ({suffix}): {exc}"
-                notes = note if notes is None else f"{notes}; {note}"
-                continue
-            fields[f"drift_t_{suffix}"] = _relative_drift(
-                outcome[side]["t"], refined["t"]
-            )
-            if outcome[side]["g2"] is not None and refined["g2"] is not None:
-                fields[f"drift_g2_{suffix}"] = _relative_drift(
-                    outcome[side]["g2"], refined["g2"]
-                )
-
-    return PointResult(notes=notes, **fields)
+            notes.append(str(exc))
+    return PointResult(notes="; ".join(notes + resolve_notes) or None, **fields)
 
 
 def _relative_drift(coarse: float, fine: float) -> float:
@@ -376,6 +359,15 @@ class SweepSpec:
         if len(set(names)) != len(names):
             raise ConfigError(f"sweep axes must be distinct, got {names}")
         _drive_sides(self.directions)
+        # the name is the basename of the files a sweep writes into its
+        # output directory, so it may not lead out of it
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string, got {self.name!r}")
+        if self.name in ("", ".", "..") or Path(self.name).name != self.name:
+            raise ConfigError(
+                f"name must be a plain file name, without a path separator "
+                f"and not '.' or '..', got {self.name!r}"
+            )
         total = self.n_points
         if total > self.point_cap:
             raise SweepCapError(
@@ -430,21 +422,14 @@ def _value_columns(dims: tuple[int, ...], convergence_check: bool) -> list[str]:
 _DIAG_COLUMNS = ["residual_fwd", "residual_bwd", "error_fwd", "error_bwd", "notes"]
 
 
-def _result_cell(result: PointResult, column: str):
-    if column.startswith("p") and ("_fwd" in column or "_bwd" in column) and column[1].isdigit():
-        m = int(column[1:column.index("_")])
-        dist = result.p_m_fwd if column.endswith("_fwd") else result.p_m_bwd
-        if dist is None or m >= len(dist):
-            return None
-        return dist[m]
-    return getattr(result, column)
-
-
 def _point_row(axes_values, result: PointResult, columns) -> list:
-    row = list(axes_values)
-    for col in columns[len(axes_values):]:
-        row.append(_result_cell(result, col))
-    return row
+    # one flat record: the result's fields plus p<m>_fwd/p<m>_bwd; a side
+    # that failed or was not requested has no p<m> entries and gives None
+    record = dict(vars(result))
+    for suffix in ("fwd", "bwd"):
+        dist = getattr(result, f"p_m_{suffix}") or ()
+        record.update((f"p{m}_{suffix}", p) for m, p in enumerate(dist))
+    return [*axes_values, *(record.get(c) for c in columns[len(axes_values):])]
 
 
 def _point_key(spec: SweepSpec, values: tuple[float, ...]) -> tuple:
@@ -483,11 +468,7 @@ class SweepResult:
         return sum(1 for row in self.rows if any(row[i] for i in i_err))
 
     def max_residual(self) -> float | None:
-        idx = [
-            self.columns.index(c)
-            for c in ("residual_fwd", "residual_bwd")
-            if c in self.columns
-        ]
+        idx = [self.columns.index(c) for c in ("residual_fwd", "residual_bwd")]
         residuals = [row[i] for row in self.rows for i in idx if row[i] is not None]
         return max(residuals) if residuals else None
 
@@ -895,7 +876,7 @@ def load_point_config(doc: dict) -> tuple[SystemParams, tuple[int, ...], str, bo
     dims = _parse_dims(doc.get("dims"))
     directions = doc.get("directions", "both")
     _drive_sides(directions)
-    convergence = bool(doc.get("convergence_check", False))
+    convergence = _config_bool(doc.get("convergence_check", False), "convergence_check")
     return params, dims, directions, convergence
 
 
@@ -937,9 +918,11 @@ def load_sweep_spec(doc: dict) -> SweepSpec:
         directions=doc.get("directions", "both"),
         dims=_parse_dims(doc.get("dims")),
         outputs=None if outputs is None else tuple(outputs),
-        convergence_check=bool(doc.get("convergence_check", False)),
+        convergence_check=_config_bool(
+            doc.get("convergence_check", False), "convergence_check"
+        ),
         point_cap=_config_int(doc.get("point_cap", DEFAULT_POINT_CAP), "point_cap"),
-        name=str(doc.get("name", "sweep")),
+        name=doc.get("name", "sweep"),
     )
 
 
@@ -957,14 +940,6 @@ def _load_json(path: str) -> dict:
 # command line
 
 
-def _point_result_doc(result: PointResult) -> dict:
-    doc = dataclasses.asdict(result)
-    for key, value in doc.items():
-        if isinstance(value, tuple):
-            doc[key] = [float(v) for v in value]
-    return doc
-
-
 def _cmd_point(args) -> int:
     doc = _load_json(args.config)
     params, dims, directions, convergence = load_point_config(doc)
@@ -975,7 +950,7 @@ def _cmd_point(args) -> int:
     )
     with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
         if args.format == "json":
-            fh.write(json.dumps(_point_result_doc(result), indent=1) + "\n")
+            fh.write(json.dumps(dataclasses.asdict(result), indent=1) + "\n")
         else:
             columns = _value_columns(dims, convergence) + _DIAG_COLUMNS
             write_csv(fh, columns, [_point_row((), result, columns)])

@@ -1,16 +1,38 @@
 import csv
+import dataclasses
 import json
 import math
+import re
 
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import triring.cli as cli
-from triring import DriveSide, PointEvaluationError, PointResult, SystemParams
-from triring.errors import ConfigError, SweepCapError
+from triring import (
+    MODE_A,
+    MODE_B,
+    MODE_C,
+    CompositeSpace,
+    DriveSide,
+    PointEvaluationError,
+    PointResult,
+    SystemParams,
+    build_hamiltonian,
+    build_liouvillian,
+    collapse_operators,
+    correlation_g_n,
+    isolation,
+    mean_occupation,
+    nonreciprocal_ratio,
+    photon_distribution,
+    steady_state,
+    transmission,
+)
+from triring.errors import ConfigError, NoConvergenceError, SweepCapError, UndefinedRatioError
 from triring.cli import (
     Axis,
     SweepSpec,
@@ -152,6 +174,86 @@ class TestRunPoint:
             load_point_config({"params": {}, "directions": directions})
         for exc in (run_exc, spec_exc, config_exc):
             assert str(exc.value) == message
+
+
+def composed_side(params, side, dims):
+    """One drive side composed from the public layers, keyed by field stem."""
+    params = dataclasses.replace(params, drive=side)
+    space = CompositeSpace(dims)
+    rho = steady_state(
+        build_liouvillian(build_hamiltonian(params, space), collapse_operators(params, space))
+    )
+    out_mode = MODE_C if side is DriveSide.LEFT else MODE_A
+    return {
+        "t": transmission(rho, params),
+        "g2": correlation_g_n(rho, out_mode, 2),
+        "g3": correlation_g_n(rho, out_mode, 3),
+        "p_m": tuple(float(p) for p in photon_distribution(rho, out_mode)[:5]),
+        "n_a": mean_occupation(rho, MODE_A),
+        "n_b": mean_occupation(rho, MODE_B),
+        "n_c": mean_occupation(rho, MODE_C),
+        "residual": rho.diagnostics.residual,
+    }
+
+
+def drift(coarse, fine):
+    return abs(coarse - fine) / max(abs(fine), 1e-300)
+
+
+class TestPointRecord:
+    """Every field of run_point's result against the same composition."""
+
+    def test_one_direction(self):
+        params = baseline_params()
+        expected = {
+            f"{stem}_bwd": value
+            for stem, value in composed_side(params, DriveSide.RIGHT, (3, 3, 3)).items()
+        }
+        result = run_point(params, dims=(3, 3, 3), directions="right")
+        assert vars(result) == vars(PointResult(**expected))
+
+    def test_both_directions_with_convergence_check(self):
+        params = baseline_params()
+        fields = {}
+        for side, suffix in ((DriveSide.LEFT, "fwd"), (DriveSide.RIGHT, "bwd")):
+            coarse = composed_side(params, side, (3, 3, 3))
+            fine = composed_side(params, side, (4, 4, 4))
+            fields.update({f"{stem}_{suffix}": value for stem, value in coarse.items()})
+            fields[f"drift_t_{suffix}"] = drift(coarse["t"], fine["t"])
+            fields[f"drift_g2_{suffix}"] = drift(coarse["g2"], fine["g2"])
+        fields["isolation"] = isolation(fields["t_fwd"], fields["t_bwd"])
+        fields["ratio"] = nonreciprocal_ratio(fields["g2_fwd"], fields["g2_bwd"])
+        result = run_point(params, dims=(3, 3, 3), convergence_check=True)
+        assert vars(result) == vars(PointResult(**fields))
+
+    def test_failed_re_solve_note_follows_the_ratio_note(self, monkeypatch):
+        # at two levels per mode g2 = 0 exactly in both directions, so the
+        # ratio is undefined; the backward re-solve at (3, 3, 3) is made to fail
+        params = baseline_params()
+        build = cli.build_hamiltonian
+
+        def fail_backward_re_solve(p, space):
+            if p.drive is DriveSide.RIGHT and space.mode_dims == (3, 3, 3):
+                raise NoConvergenceError("forced re-solve failure")
+            return build(p, space)
+
+        monkeypatch.setattr(cli, "build_hamiltonian", fail_backward_re_solve)
+        fields = {}
+        for side, suffix in ((DriveSide.LEFT, "fwd"), (DriveSide.RIGHT, "bwd")):
+            coarse = composed_side(params, side, (2, 2, 2))
+            fields.update({f"{stem}_{suffix}": value for stem, value in coarse.items()})
+        fine = composed_side(params, DriveSide.LEFT, (3, 3, 3))
+        fields["drift_t_fwd"] = drift(fields["t_fwd"], fine["t"])
+        fields["drift_g2_fwd"] = drift(fields["g2_fwd"], fine["g2"])
+        fields["isolation"] = isolation(fields["t_fwd"], fields["t_bwd"])
+        assert fields["g2_fwd"] == fields["g2_bwd"] == 0.0
+        with pytest.raises(UndefinedRatioError) as ratio_exc:
+            nonreciprocal_ratio(0.0, 0.0)
+        fields["notes"] = (
+            f"{ratio_exc.value}; convergence re-solve failed (bwd): forced re-solve failure"
+        )
+        result = run_point(params, dims=(2, 2, 2), convergence_check=True, strict=False)
+        assert vars(result) == vars(PointResult(**fields))
 
 
 class TestSweepSpec:
@@ -486,12 +588,51 @@ class TestCommandLine:
         ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}], "fixed": {},
           "point_cap": "many"},
          "point_cap must be an integer, got 'many'"),
+        ({"params": {"omega": 0.1}, "convergence_check": "false"},
+         "convergence_check must be true or false, got 'false'"),
+        ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}], "fixed": {},
+          "convergence_check": 0},
+         "convergence_check must be true or false, got 0"),
+        ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}], "fixed": {},
+          "name": ["a"]},
+         "name must be a string, got ['a']"),
+        ({"params": {"omega": 0.1, "kappa_a": float("nan")}},
+         "parameter 'kappa_a' must be a finite number, got nan"),
+        ({"axes": [{"name": "delta", "start": 0, "stop": float("inf"), "count": 2}],
+          "fixed": {}},
+         "axis 'delta' stop must be a finite number, got inf"),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         assert main(["validate", str(config)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/name", "..", ".", ""])
+    def test_sweep_name_must_be_a_plain_file_name(self, tmp_path, capsys, name):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": name,
+            "axes": [{"name": "delta", "start": -1, "stop": 1, "count": 2}],
+            "fixed": {"omega": 0.1, "j": 0.7, "u": 5.0},
+            "dims": [3, 1, 3],
+        }))
+        message = "name must be a plain file name"
+        assert main(["validate", str(spec)]) == 2
+        assert message in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["sweep", str(spec), "--out", str(out), "--jobs", "1"]) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["spec.json"]
+
+    def test_readme_configs_validate(self, tmp_path, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(blocks) == 2
+        for i, block in enumerate(blocks):
+            config = tmp_path / f"readme_{i}.json"
+            config.write_text(block)
+            assert main(["validate", str(config)]) == 0, block
 
     def test_validate_command(self, tmp_path, capsys):
         config = tmp_path / "ok.json"
