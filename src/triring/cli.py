@@ -330,6 +330,10 @@ class Axis:
             raise ConfigError(
                 f"unknown sweep axis {self.name!r}; allowed: {list(AXIS_NAMES)}"
             )
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(
+                f"axis {self.name!r} needs finite start and stop, got {self.start}, {self.stop}"
+            )
         if self.count < 2:
             raise ConfigError(f"axis {self.name!r} needs count >= 2, got {self.count}")
         if self.start == self.stop:
@@ -473,13 +477,24 @@ class SweepResult:
         return max(residuals) if residuals else None
 
 
+def _worker_count(jobs: int | None) -> int:
+    """``jobs`` itself, or one worker per CPU for None."""
+    if jobs is None:
+        return os.cpu_count() or 1
+    if not _is_integral(jobs) or jobs < 1:
+        raise ConfigError(f"jobs must be a whole number >= 1, got {jobs!r}")
+    return int(jobs)
+
+
 def run_sweep(
-    spec: SweepSpec, jobs: int = 1, memo: dict | None = None
+    spec: SweepSpec, jobs: int | None = 1, memo: dict | None = None
 ) -> SweepResult:
     """Evaluate every grid point, serially or with a process pool.
 
     Results are ordered by grid index regardless of worker scheduling, so
-    parallel and serial runs produce identical tables.
+    parallel and serial runs produce identical tables.  ``jobs`` is the
+    number of worker processes, None for one per CPU; below one it is a
+    :class:`ConfigError`.
 
     ``memo`` is an optional caller-owned dict from
     ``(params, dims, directions, convergence_check)`` to ``PointResult``.
@@ -492,8 +507,7 @@ def run_sweep(
     start = time.monotonic()
     grid = spec.grid()
     keys = [_point_key(spec, values) for values in grid]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    jobs = _worker_count(jobs)
     memo = {} if memo is None else memo
     missing = [key for key in dict.fromkeys(keys) if key not in memo]
     if jobs > 1 and len(missing) > 1:
@@ -843,6 +857,7 @@ def scenario(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         )
     dims = _parse_dims(dims)
+    _worker_count(jobs)  # a bad count fails before any file is written
     out_dir = Path(out_dir)
     if name in _TWO_CAVITY_SCENARIOS:
         fixed, sweep_dims = two_cavity_params(), _two_cavity_dims(dims)

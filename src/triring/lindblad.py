@@ -14,10 +14,10 @@ functional and solves the resulting nonsingular sparse system with GMRES,
 preconditioned by the exact inverse of the no-jump part of the generator
 (a few dense D x D products per iteration).  It has no second path, so
 a solve runs in bounded time and memory and a failure raises
-``NoConvergenceError``.  A null-space extraction is kept as an independent
-method.  ``evolve`` integrates the master equation in matrix form (never
-touching the superoperator), providing a cross-check that shares no code
-path with the algebraic solvers.
+``NoConvergenceError``.  A null-space extraction, a dense SVD of L up to
+a fixed D^2, is kept as an independent method.  ``evolve`` integrates the
+master equation in matrix form (never touching the superoperator),
+providing a cross-check that shares no code path with the algebraic solvers.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
+    InvalidDimensionError,
     NoConvergenceError,
     NonPhysicalStateError,
     NonUniqueSteadyStateError,
@@ -56,9 +57,9 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_FLOOR = -1e-8
 
-# largest dense dimension (D^2) for which the null-space method uses an
-# exact SVD; above this it switches to shift-inverted sparse eigenpairs
-_DENSE_NULLSPACE_LIMIT = 4096
+# largest D^2 the null-space method accepts: with one BLAS thread its dense
+# SVD took 4.2 s and 287 MB at 1296 (3x4x3), but 116 s and 2.2 GB at 4096
+_DENSE_NULLSPACE_LIMIT = 1296
 
 
 class SteadyStateMethod(Enum):
@@ -73,8 +74,8 @@ class SteadyStateOptions:
     hermitize: bool = True
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ValueError(f"residual_tol must be > 0, got {self.residual_tol}")
+        if not (np.isfinite(self.residual_tol) and self.residual_tol > 0):
+            raise ValueError(f"residual_tol must be finite and > 0, got {self.residual_tol}")
 
 
 @dataclass
@@ -331,8 +332,12 @@ def _gmres(constrained, rhs, preconditioner, rtol):
         return spla.gmres(constrained, rhs, tol=rtol, **kwargs)
 
 
-def _no_convergence(step: str, residual=float("inf"), bound=None) -> NoConvergenceError:
-    message = f"trace-constrained solve failed at the {step}; try the null-space method"
+def _no_convergence(n: int, step: str, residual=float("inf"), bound=None) -> NoConvergenceError:
+    if n <= _DENSE_NULLSPACE_LIMIT:
+        hint = "try the null-space method"
+    else:
+        hint = f"D^2 = {n} is too large for the null-space method (limit {_DENSE_NULLSPACE_LIMIT})"
+    message = f"trace-constrained solve failed at the {step}; {hint}"
     return NoConvergenceError(message, residual, bound)
 
 
@@ -348,7 +353,7 @@ def _gmres_refined(constrained, rhs, preconditioner):
     x, info = _gmres(constrained, rhs, preconditioner, rtol=1e-11)
     finite = bool(np.all(np.isfinite(x)))
     if info != 0 or not finite:
-        raise _no_convergence(f"GMRES run (info={info}, finite={finite})")
+        raise _no_convergence(len(rhs), f"GMRES run (info={info}, finite={finite})")
     norm_rhs = float(np.linalg.norm(rhs))
     for _ in range(3):
         residual = rhs - constrained @ x
@@ -365,44 +370,32 @@ def _solve_trace_constrained(liouv: Superoperator, opts: SteadyStateOptions) -> 
     constrained, rhs = _constrained_system(liouv)
     preconditioner = _no_jump_preconditioner(liouv)
     if preconditioner is None:
-        raise _no_convergence("preconditioner (no usable eigendecomposition of H_eff)")
+        raise _no_convergence(liouv.dim, "preconditioner (no usable eigendecomposition of H_eff)")
     x = _gmres_refined(constrained, rhs, preconditioner)
     try:
         return _finalize(liouv, x, opts, SteadyStateMethod.TRACE_CONSTRAINED.value)
     except NoConvergenceError as exc:
-        raise _no_convergence(f"acceptance check ({exc})", exc.residual, exc.bound) from exc
+        raise _no_convergence(
+            liouv.dim, f"acceptance check ({exc})", exc.residual, exc.bound
+        ) from exc
 
 
 def _solve_null_space(liouv: Superoperator, opts: SteadyStateOptions) -> DensityMatrix:
     n = liouv.dim
-    scale = liouv.norm_fro()
-    if n <= _DENSE_NULLSPACE_LIMIT:
-        dense = liouv.data.toarray()
-        _, sigma, vh = np.linalg.svd(dense)
-        tol = max(1e-10 * sigma[0], 1e-300)
-        kernel_dim = int(np.count_nonzero(sigma < tol))
-        if kernel_dim > 1:
-            raise NonUniqueSteadyStateError(
-                f"Liouvillian kernel is {kernel_dim}-dimensional; "
-                "the steady state is not unique"
-            )
-        x = vh[-1].conj()
-    else:
-        shift = 1e-10 * scale
-        try:
-            vals, vecs = spla.eigs(liouv.data.tocsc(), k=2, sigma=shift, which="LM")
-        except Exception as exc:  # factorization or Arnoldi failure
-            raise NoConvergenceError(
-                f"null-space extraction failed: {exc}", residual=float("inf")
-            ) from exc
-        order = np.argsort(np.abs(vals))
-        if abs(vals[order[1]]) < 1e-12 * scale:
-            raise NonUniqueSteadyStateError(
-                "two Liouvillian eigenvalues are numerically zero; "
-                "the steady state is not unique"
-            )
-        x = vecs[:, order[0]]
-    return _finalize(liouv, x, opts, SteadyStateMethod.NULL_SPACE.value)
+    if n > _DENSE_NULLSPACE_LIMIT:
+        raise InvalidDimensionError(
+            f"the null-space method takes a dense SVD of L; D^2 = {n} at mode dims "
+            f"{liouv.space.mode_dims} exceeds its limit of {_DENSE_NULLSPACE_LIMIT}"
+        )
+    _, sigma, vh = np.linalg.svd(liouv.data.toarray())
+    tol = max(1e-10 * sigma[0], 1e-300)
+    kernel_dim = int(np.count_nonzero(sigma < tol))
+    if kernel_dim > 1:
+        raise NonUniqueSteadyStateError(
+            f"Liouvillian kernel is {kernel_dim}-dimensional; "
+            "the steady state is not unique"
+        )
+    return _finalize(liouv, vh[-1].conj(), opts, SteadyStateMethod.NULL_SPACE.value)
 
 
 def steady_state(
@@ -416,6 +409,7 @@ def steady_state(
     alone: it raises :class:`NoConvergenceError` naming the failed step
     (preconditioner, GMRES run, or a residual above ``residual_tol *
     ||L||_F * ||vec(rho)||``).  The null-space method raises
+    :class:`InvalidDimensionError` above its dense-SVD size limit and
     :class:`NonUniqueSteadyStateError` when the kernel is degenerate.
     """
     opts = opts or SteadyStateOptions()

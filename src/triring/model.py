@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -89,6 +89,10 @@ class SystemParams:
     kappa_b: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "drive" and not math.isfinite(value):
+                raise InvalidRateError(f"{f.name} must be a finite number, got {value}")
         if self.kappa_a <= 0 or self.kappa_c <= 0:
             raise InvalidRateError(
                 "the input-output ports must be lossy: kappa_a and kappa_c must be > 0, "

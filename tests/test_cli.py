@@ -265,6 +265,13 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             Axis("kappa_a", 0.0, 1.0, 5)
 
+    @pytest.mark.parametrize("start, stop", [
+        (float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0),
+    ])
+    def test_axis_bounds_must_be_finite(self, start, stop):
+        with pytest.raises(ConfigError, match="needs finite start and stop"):
+            Axis("delta", start, stop, 3)
+
     def test_point_cap(self):
         with pytest.raises(SweepCapError):
             SweepSpec(
@@ -330,6 +337,24 @@ class TestSweepExecution:
         parallel = run_sweep(tiny_spec(), jobs=2)
         assert serial.columns == parallel.columns
         assert serial.rows == parallel.rows
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError, match=f"jobs must be a whole number >= 1, got {jobs}"):
+            run_sweep(tiny_spec(), jobs=jobs)
+
+    def test_jobs_none_is_one_worker_per_cpu(self, monkeypatch):
+        workers = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert run_sweep(tiny_spec(), jobs=None).rows == run_sweep(tiny_spec(), jobs=1).rows
+        assert workers == [2]
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         for sub in ("one", "two"):
@@ -555,6 +580,23 @@ class TestCommandLine:
         }[command]
         assert main(argv + ["--dims", "0"]) == 2
         assert "dims must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "scenario"])
+    def test_jobs_zero_is_config_error(self, tmp_path, capsys, command):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({
+            "axes": [{"name": "delta", "start": -1, "stop": 1, "count": 2}],
+            "fixed": {"omega": 0.1},
+        }))
+        out = tmp_path / "out"
+        argv = {
+            "sweep": ["sweep", str(config)],
+            # smatrix-check runs no sweep, and is still refused before it writes
+            "scenario": ["scenario", "smatrix-check", "fig2a"],
+        }[command]
+        assert main(argv + ["--out", str(out), "--jobs", "0"]) == 2
+        assert "jobs must be a whole number >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fig4_below_its_truncation_is_config_error(self, tmp_path, capsys):

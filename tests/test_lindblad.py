@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -6,6 +8,7 @@ import triring.lindblad as lindblad
 from triring import (
     CompositeSpace,
     DensityMatrix,
+    InvalidDimensionError,
     NoConvergenceError,
     NonPhysicalStateError,
     NonUniqueSteadyStateError,
@@ -153,6 +156,31 @@ class TestSteadyState:
         with pytest.raises(ValueError):
             SteadyStateOptions(residual_tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_residual_tol_rejected(self, tol):
+        # either bound would let _finalize accept any candidate, such as the
+        # vacuum of a driven cavity
+        with pytest.raises(ValueError, match="residual_tol must be finite and > 0"):
+            SteadyStateOptions(residual_tol=tol)
+
+    def test_null_space_refuses_generators_above_its_limit(self, monkeypatch, fig2_params):
+        space = CompositeSpace((4, 4, 4))
+        h = build_hamiltonian(fig2_params, space)
+        liouv = build_liouvillian(h, collapse_operators(fig2_params, space))
+
+        def no_dense_copy(*args, **kwargs):
+            raise AssertionError("the null-space method made a dense copy of L")
+
+        monkeypatch.setattr(type(liouv.data), "toarray", no_dense_copy)
+        start = time.perf_counter()
+        with pytest.raises(InvalidDimensionError) as exc:
+            steady_state(liouv, SteadyStateOptions(method=SteadyStateMethod.NULL_SPACE))
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value).endswith(
+            "D^2 = 4096 at mode dims (4, 4, 4) exceeds its limit of "
+            f"{lindblad._DENSE_NULLSPACE_LIMIT}"
+        )
+
     def test_one_state_eigendecomposition_per_solve(self, monkeypatch, fig2_params):
         space = CompositeSpace((3, 3, 3))
         h = build_hamiltonian(fig2_params, space)
@@ -209,6 +237,19 @@ class TestSteadyStateFailures:
         )
         with pytest.raises(NoConvergenceError, match=r"at the GMRES run \(" + shown):
             steady_state(driven_cavity())
+
+    def test_gmres_failure_above_null_space_limit(self, monkeypatch, fig2_state_555):
+        _, _, liouv, _ = fig2_state_555
+        monkeypatch.setattr(
+            spla, "gmres", lambda matrix, rhs, **kw: (np.zeros_like(rhs), 1)
+        )
+        with pytest.raises(NoConvergenceError, match=r"at the GMRES run \(info=1") as exc:
+            steady_state(liouv)
+        assert "try the null-space method" not in str(exc.value)
+        assert str(exc.value).endswith(
+            "D^2 = 15625 is too large for the null-space method "
+            f"(limit {lindblad._DENSE_NULLSPACE_LIMIT})"
+        )
 
     def test_residual_above_bound(self, monkeypatch):
         refined = lindblad._gmres_refined

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +42,14 @@ class TestSystemParams:
     def test_negative_coupling_rejected(self):
         with pytest.raises(InvalidRateError):
             SystemParams(j_ac=-0.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(SystemParams) if f.name != "drive"]
+    )
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(InvalidRateError, match=f"^{name} must be a finite number"):
+            SystemParams(**{name: value})
 
     def test_weak_drive_warning(self):
         with pytest.warns(UserWarning, match="weak-drive"):
