@@ -839,6 +839,23 @@ def _scenario_point_memo() -> dict:
     return memo
 
 
+def _scenario_specs(name: str, dims) -> list[SweepSpec]:
+    """The sweeps of a named scenario, built (and so checked) but not run."""
+    if name not in SCENARIO_NAMES:
+        raise ConfigError(
+            f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
+        )
+    dims = _parse_dims(dims)
+    if name in _TWO_CAVITY_SCENARIOS:
+        fixed, sweep_dims = two_cavity_params(), _two_cavity_dims(dims)
+    else:
+        fixed, sweep_dims = baseline_params(), dims
+    return [
+        SweepSpec(axes=axes, fixed=fixed, dims=sweep_dims, outputs=outputs, name=basename)
+        for basename, axes, outputs in _SCENARIO_SWEEPS.get(name, ())
+    ]
+
+
 def scenario(
     name: str,
     out_dir: Path | str = ".",
@@ -852,22 +869,12 @@ def scenario(
     same ``run_point`` are reused rather than solved again; the files
     written are the same either way.
     """
-    if name not in SCENARIO_NAMES:
-        raise ConfigError(
-            f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
-        )
+    specs = _scenario_specs(name, dims)
     dims = _parse_dims(dims)
     _worker_count(jobs)  # a bad count fails before any file is written
     out_dir = Path(out_dir)
-    if name in _TWO_CAVITY_SCENARIOS:
-        fixed, sweep_dims = two_cavity_params(), _two_cavity_dims(dims)
-    else:
-        fixed, sweep_dims = baseline_params(), dims
     files = []
-    for basename, axes, outputs in _SCENARIO_SWEEPS.get(name, ()):
-        spec = SweepSpec(
-            axes=axes, fixed=fixed, dims=sweep_dims, outputs=outputs, name=basename
-        )
+    for spec in specs:
         result = run_sweep(spec, jobs, memo=_scenario_point_memo())
         files += emit_sweep(result, out_dir, formats=formats)
     if name in _SCENARIO_TABLES:
@@ -992,7 +999,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    # one process for all names, so scenario() solves their shared grids once
+    # every name is checked before the first one writes, so a config error
+    # leaves no files; one process for all names, so scenario() solves
+    # their shared grids once
+    for name in args.names:
+        _scenario_specs(name, args.dims)
     for name in args.names:
         files = scenario(
             name, out_dir=args.out, dims=args.dims, jobs=args.jobs,

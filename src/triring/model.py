@@ -14,6 +14,7 @@ All energies and rates are expressed in one common unit; the port loss
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -70,7 +71,9 @@ class SystemParams:
     ``delta_*`` are cavity detunings from the drive frequency, ``u_*`` the
     Kerr strengths of the nonlinear cavities, ``j_*`` non-negative coupling
     magnitudes, ``theta`` the phase of the direct a-c coupling, ``omega``
-    the drive amplitude, and ``kappa_*`` the cavity loss rates.
+    the drive amplitude, ``drive`` the driven port (a :class:`DriveSide`
+    or its value, ``"left"`` or ``"right"``), and ``kappa_*`` the cavity
+    loss rates.
     """
 
     delta_a: float = 0.0
@@ -89,6 +92,13 @@ class SystemParams:
     kappa_b: float = 0.0
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "drive", DriveSide(self.drive))
+        except ValueError:
+            raise InvalidRateError(
+                f"drive must be a DriveSide or one of "
+                f"{[side.value for side in DriveSide]}, got {self.drive!r}"
+            ) from None
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name != "drive" and not math.isfinite(value):
@@ -150,11 +160,17 @@ class OptimalCondition:
         )
 
 
-def _mode_ops(space: CompositeSpace, cache: dict, mode: int) -> Operator:
-    if mode not in cache:
-        dim = space.mode_dims[mode]
-        cache[mode] = embed(annihilation(dim), mode, space)
-    return cache[mode]
+@functools.lru_cache(maxsize=12)
+def _lowering(mode_dims: tuple[int, ...], mode: int) -> Operator:
+    """The lowering operator of ``mode`` embedded in the space ``mode_dims``.
+
+    Shared by every caller, so its array is read-only.  Twelve entries
+    hold the three modes of four truncations (a sweep uses one, or two
+    under its convergence check).
+    """
+    op = embed(annihilation(mode_dims[mode]), mode, CompositeSpace(mode_dims))
+    op.data.setflags(write=False)
+    return op
 
 
 def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
@@ -176,7 +192,6 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
         )
     d = space.dim
     h = np.zeros((d, d), dtype=complex)
-    ops: dict[int, Operator] = {}
 
     # n and n(n-1) vanish identically on a dimension-1 (vacuum-only) mode,
     # so diagonal terms on padded modes are skipped along with zero terms
@@ -186,34 +201,34 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
         (params.delta_c, MODE_C),
     ):
         if coeff != 0.0 and space.mode_dims[mode] > 1:
-            a = _mode_ops(space, ops, mode).data
+            a = _lowering(space.mode_dims, mode).data
             h += coeff * (a.conj().T @ a)
 
     for coeff, mode in ((params.u_a, MODE_A), (params.u_c, MODE_C)):
         if coeff != 0.0 and space.mode_dims[mode] > 1:
-            a = _mode_ops(space, ops, mode).data
+            a = _lowering(space.mode_dims, mode).data
             ad = a.conj().T
             h += coeff * (ad @ ad @ a @ a)
 
     coupling = np.zeros((d, d), dtype=complex)
     if params.j_ac != 0.0:
-        a = _mode_ops(space, ops, MODE_A).data
-        c = _mode_ops(space, ops, MODE_C).data
+        a = _lowering(space.mode_dims, MODE_A).data
+        c = _lowering(space.mode_dims, MODE_C).data
         coupling += params.j_ac * cmath.exp(1j * params.theta) * (a @ c.conj().T)
     if params.j_ab != 0.0:
-        a = _mode_ops(space, ops, MODE_A).data
-        b = _mode_ops(space, ops, MODE_B).data
+        a = _lowering(space.mode_dims, MODE_A).data
+        b = _lowering(space.mode_dims, MODE_B).data
         coupling += params.j_ab * (a @ b.conj().T)
     if params.j_bc != 0.0:
-        c = _mode_ops(space, ops, MODE_C).data
-        b = _mode_ops(space, ops, MODE_B).data
+        c = _lowering(space.mode_dims, MODE_C).data
+        b = _lowering(space.mode_dims, MODE_B).data
         coupling += params.j_bc * (c @ b.conj().T)
     if params.j_ac != 0.0 or params.j_ab != 0.0 or params.j_bc != 0.0:
         h += coupling + coupling.conj().T
 
     if params.omega != 0.0:
         mode = MODE_A if params.drive is DriveSide.LEFT else MODE_C
-        dop = _mode_ops(space, ops, mode).data
+        dop = _lowering(space.mode_dims, mode).data
         h += params.omega * (dop + dop.conj().T)
 
     return Operator(space, h)
@@ -232,7 +247,6 @@ def collapse_operators(params: SystemParams, space: CompositeSpace) -> list[Oper
         raise InvalidSpaceError(
             f"the ring model needs exactly 3 modes (a, b, c), got {space.n_modes}"
         )
-    ops: dict[int, Operator] = {}
     out = []
     for rate, mode in (
         (params.kappa_a, MODE_A),
@@ -244,7 +258,7 @@ def collapse_operators(params: SystemParams, space: CompositeSpace) -> list[Oper
         if rate == 0.0 or space.mode_dims[mode] == 1:
             # zero operator either way; keep the sparse assembly clean
             continue
-        op = _mode_ops(space, ops, mode)
+        op = _lowering(space.mode_dims, mode)
         out.append(math.sqrt(rate) * op)
     return out
 

@@ -608,6 +608,17 @@ class TestCommandLine:
         assert "p<m>_fwd needs dims[c] > m and p<m>_bwd needs dims[a] > m" in err
         assert not out.exists()
 
+    def test_multi_name_scenario_checks_every_name_first(self, tmp_path, capsys):
+        # smatrix-check alone would run; fig4 cannot at dims 3
+        out = tmp_path / "out"
+        argv = [
+            "scenario", "smatrix-check", "fig4", "--dims", "3", "--jobs", "1",
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        assert "['p3_fwd', 'p3_bwd'] do not exist at dims (3, 3, 3)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scenario_command(self, tmp_path):
         assert main(["scenario", "conditions-check", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "conditions_check.csv").exists()

@@ -1,13 +1,16 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import triring.lindblad as lindblad
 from triring import (
     CompositeSpace,
     DensityMatrix,
+    DriveSide,
     InvalidDimensionError,
     NoConvergenceError,
     NonPhysicalStateError,
@@ -30,6 +33,7 @@ from triring import (
     unvec,
     vec,
 )
+from triring.cli import baseline_params, two_cavity_params
 from conftest import random_density_matrix
 
 
@@ -102,6 +106,215 @@ class TestLiouvillian:
     def test_space_mismatch_rejected(self):
         with pytest.raises(SpaceMismatchError):
             build_liouvillian(zero_operator((2, 2, 2)), [annihilation(2)])
+
+
+def scipy_sum(hamiltonian, c_ops):
+    """The chain of scipy kron and add calls that build_liouvillian replays."""
+    d = hamiltonian.space.dim
+    eye = sp.identity(d, format="csr", dtype=complex)
+    h = sp.csr_matrix(hamiltonian.data)
+    liouv = -1j * (sp.kron(eye, h, format="csr") - sp.kron(h.T, eye, format="csr"))
+    for op in c_ops:
+        c = sp.csr_matrix(op.data)
+        cdc = (c.conj().T @ c).tocsr()
+        liouv = liouv + sp.kron(c.conj(), c, format="csr")
+        liouv = liouv - 0.5 * sp.kron(eye, cdc, format="csr")
+        liouv = liouv - 0.5 * sp.kron(cdc.T, eye, format="csr")
+    return liouv.tocsr()
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert got.shape == want.shape
+    assert got.indptr.dtype == want.indptr.dtype
+    assert got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    # compared as bit patterns, so a -0.0 where scipy has +0.0 fails too
+    assert got.data.dtype == want.data.dtype
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+def ring_model(dims, drive, kappa_b):
+    base = two_cavity_params() if dims[1] == 1 else baseline_params()
+    params = dataclasses.replace(
+        base, drive=drive, kappa_b=kappa_b, delta_a=0.0, delta_b=0.0, delta_c=0.0
+    )
+    space = CompositeSpace(dims)
+    return build_hamiltonian(params, space), collapse_operators(params, space)
+
+
+def random_operator(rng, space, density, entries=None):
+    """Sparse complex operator; ``entries`` draws both parts from a small set
+    (signed zeros included), so sums cancel exactly and zeros carry signs."""
+    d = space.dim
+    shape = (d, d)
+    if entries is None:
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    else:
+        m = np.empty(shape, dtype=complex)
+        m.real = rng.choice(entries, size=shape)
+        m.imag = rng.choice(entries, size=shape)
+    m[rng.random(shape) > density] = 0
+    return Operator(space, m)
+
+
+SMALL_PARTS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0])
+
+
+class TestAssembly:
+    """build_liouvillian against the scipy sum it replays, bit for bit."""
+
+    @pytest.mark.parametrize("kappa_b", [0.0, 1.7])
+    @pytest.mark.parametrize("drive", list(DriveSide))
+    @pytest.mark.parametrize("dims", [(4, 1, 4), (3, 3, 3), (4, 4, 4)])
+    def test_ring_model(self, dims, drive, kappa_b):
+        h, c_ops = ring_model(dims, drive, kappa_b)
+        assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_non_normal_operators(self, seed):
+        rng = np.random.default_rng(seed)
+        space = CompositeSpace([(2,), (3,), (2, 2), (2, 3)][seed % 4])
+        h = random_operator(rng, space, 0.5)
+        c_ops = []
+        for _ in range(1 + seed % 3):
+            # upper triangular with a nonzero corner: never normal
+            c = np.triu(random_operator(rng, space, 0.6).data)
+            c[0, 0], c[0, -1] = 0.7 - 0.2j, 1.1 + 0.4j
+            c_ops.append(Operator(space, c))
+            assert not np.allclose(c @ c.conj().T, c.conj().T @ c)
+        assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exact_cancellations_and_signed_zeros(self, seed):
+        rng = np.random.default_rng(seed)
+        space = CompositeSpace([(2,), (3,), (2, 2)][seed % 3])
+        h = random_operator(rng, space, rng.uniform(0.1, 1.0), SMALL_PARTS)
+        c_ops = [
+            random_operator(rng, space, rng.uniform(0.1, 0.8), SMALL_PARTS)
+            for _ in range(rng.integers(1, 4))
+        ]
+        assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
+
+    @pytest.mark.parametrize("h, c", [
+        # an entry only a jump term stores, where scipy adds it to an exact +0
+        (np.zeros((2, 2)), [[-1.0, 1.0], [0.0, 0.0]]),
+        # a diagonal entry that cancels to zero and is dropped between two
+        # dissipator terms: the next one starts from +0, not from -0
+        (np.diag([0.0, 1.5j]), np.diag([-1.0, 1.0])),
+    ])
+    def test_signed_zero_cases(self, h, c):
+        space = CompositeSpace((2,))
+        h, c_ops = Operator(space, h), [Operator(space, np.asarray(c))]
+        assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
+
+    @pytest.mark.parametrize("c_ops", [
+        [number(4)],
+        [zero_operator((4,))],
+        [annihilation(4), zero_operator((4,)), number(4)],
+        [],
+    ], ids=["number", "zero", "mixed", "none"])
+    def test_special_collapse_lists(self, c_ops):
+        a = annihilation(4)
+        h = 0.3 * number(4) + 0.1 * (a + a.dag())
+        assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
+
+    def test_two_patterns_cached_and_reused(self, monkeypatch):
+        built = []
+        union = lindblad._union_structure
+
+        def counting(n, factors):
+            built.append(n)
+            return union(n, factors)
+
+        monkeypatch.setattr(lindblad, "_STRUCTURES", [])
+        monkeypatch.setattr(lindblad, "_union_structure", counting)
+        left, right = DriveSide.LEFT, DriveSide.RIGHT
+        # (drive side, kappa_b, structures built so far); kappa_b = 0 drops
+        # a jump operator, a third pattern, which evicts the one used least
+        # recently (RIGHT), not the one stored first (LEFT)
+        for drive, kappa_b, count in [
+            (left, 1.0, 1), (right, 1.0, 2), (left, 1.0, 2), (right, 1.0, 2),
+            (left, 1.0, 2), (left, 0.0, 3), (left, 1.0, 3), (right, 1.0, 4),
+        ]:
+            h, c_ops = ring_model((3, 3, 3), drive, kappa_b)
+            assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
+            assert len(built) == count
+            assert len(lindblad._STRUCTURES) == min(count, 2)
+
+    @pytest.mark.parametrize("zeros_dropped", [False, True])
+    def test_returned_arrays_are_copies(self, monkeypatch, zeros_dropped):
+        monkeypatch.setattr(lindblad, "_STRUCTURES", [])
+        a = annihilation(3)
+        # without jumps, H_kk - H_kk cancels on the diagonal of L wherever H
+        # has a diagonal entry, so the result is smaller than the union
+        h = 0.3 * number(3) + a + a.dag() if zeros_dropped else a
+        want = scipy_sum(h, [])
+        first = build_liouvillian(h, []).data
+        assert_same_bits(first, want)
+        assert (first.nnz < len(lindblad._STRUCTURES[0][2])) == zeros_dropped
+        for array in (first.indptr, first.indices, first.data):
+            array[:] = 0
+        assert_same_bits(build_liouvillian(h, []).data, want)
+
+
+class TestConstrainedSystem:
+    """L with row k applied as the trace row equals the vstack-built matrix."""
+
+    @staticmethod
+    def vstacked(liouv, k):
+        d = liouv.space.dim
+        n = d * d
+        matrix = liouv.data.tocsr()
+        trace_row = sp.csr_matrix(
+            (np.ones(d, dtype=complex), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))),
+            shape=(1, n),
+        )
+        return sp.vstack([matrix[:k], trace_row, matrix[k + 1 :]], format="csr")
+
+    @staticmethod
+    def assert_same_products(constrained, matrix, seed):
+        rng = np.random.default_rng(seed)
+        n = matrix.shape[0]
+        for shape in [(n,), (n, 1)]:
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            got, want = constrained @ x, matrix @ x
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("liouv, k", [
+        # pumping |0> into |1> empties |0><0| alone: the first row
+        (lambda: build_liouvillian(
+            zero_operator((3,)),
+            [Operator(CompositeSpace((3,)), [[0, 0, 0], [1, 0, 0], [0, 0, 0]])],
+        ), 0),
+        # decay empties the top level fastest: the last row
+        (lambda: build_liouvillian(zero_operator((3,)), [annihilation(3)]), 8),
+        # the middle level decays into both others: a row in between
+        (lambda: build_liouvillian(
+            zero_operator((3,)),
+            [Operator(CompositeSpace((3,)), [[0, 1, 0], [0, 0, 0], [0, 1, 0]])],
+        ), 4),
+    ], ids=["first", "last", "middle"])
+    def test_matches_vstack(self, liouv, k):
+        liouv = liouv()
+        constrained, rhs = lindblad._constrained_system(liouv)
+        assert np.flatnonzero(rhs).tolist() == [k]
+        self.assert_same_products(constrained, self.vstacked(liouv, k), seed=k)
+
+    def test_ring_model_solve_matches_vstack(self, fig2_params):
+        space = CompositeSpace((3, 3, 3))
+        h = build_hamiltonian(fig2_params, space)
+        liouv = build_liouvillian(h, collapse_operators(fig2_params, space))
+        constrained, rhs = lindblad._constrained_system(liouv)
+        (k,) = np.flatnonzero(rhs)
+        matrix = self.vstacked(liouv, k)
+        self.assert_same_products(constrained, matrix, seed=0)
+        preconditioner = lindblad._no_jump_preconditioner(liouv)
+        got = lindblad._gmres_refined(constrained, rhs, preconditioner)
+        want = lindblad._gmres_refined(matrix, rhs, preconditioner)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSteadyState:

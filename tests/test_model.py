@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import triring.model as model
 from triring import (
     CompositeSpace,
     DegeneratePhaseError,
@@ -54,6 +55,25 @@ class TestSystemParams:
     def test_weak_drive_warning(self):
         with pytest.warns(UserWarning, match="weak-drive"):
             SystemParams(omega=0.6, kappa_a=1.0, kappa_c=1.0)
+
+    @pytest.mark.parametrize("side", list(DriveSide))
+    def test_drive_given_by_name(self, side):
+        named = SystemParams(omega=0.1, drive=side.value)
+        assert named.drive is side
+        assert named == SystemParams(omega=0.1, drive=side)
+        space = CompositeSpace((2, 2, 2))
+        other = DriveSide.RIGHT if side is DriveSide.LEFT else DriveSide.LEFT
+        h = build_hamiltonian(named, space).data
+        same = build_hamiltonian(SystemParams(omega=0.1, drive=side), space).data
+        mirrored = build_hamiltonian(SystemParams(omega=0.1, drive=other), space).data
+        assert np.array_equal(h, same)
+        assert not np.array_equal(h, mirrored)
+
+    @pytest.mark.parametrize("drive", ["up", "LEFT", None, 0])
+    def test_unknown_drive_rejected(self, drive):
+        message = r"^drive must be a DriveSide or one of \['left', 'right'\], got "
+        with pytest.raises(InvalidRateError, match=message):
+            SystemParams(omega=0.1, drive=drive)
 
 
 class TestHamiltonian:
@@ -113,6 +133,42 @@ class TestHamiltonian:
         m = drift_matrix(from_system_params(params))
         hermitian_part = 0.5 * (m + m.conj().T)
         np.testing.assert_allclose(block, hermitian_part, atol=1e-12)
+
+
+class TestLadderOperators:
+    def test_embedded_once_per_space_and_shared_read_only(self, monkeypatch, fig2_params):
+        space = CompositeSpace((3, 2, 3))
+        sides = [dataclasses.replace(fig2_params, drive=side) for side in DriveSide]
+
+        def build():
+            return [
+                (build_hamiltonian(p, space), collapse_operators(p, space)) for p in sides
+            ]
+
+        model._lowering.cache_clear()
+        fresh = build()  # every operator embedded on first use
+        embedded = []
+        real_embed = model.embed
+
+        def counting(op, mode, target):
+            embedded.append(mode)
+            return real_embed(op, mode, target)
+
+        monkeypatch.setattr(model, "embed", counting)
+        cached = build()
+        assert embedded == []
+        for (h0, c0), (h1, c1) in zip(fresh, cached):
+            assert h0.data.tobytes() == h1.data.tobytes()
+            assert [c.data.tobytes() for c in c0] == [c.data.tobytes() for c in c1]
+            for c in c1:  # callers get their own arrays
+                assert c.data.flags.writeable
+        shared = model._lowering(space.mode_dims, 0).data
+        assert np.array_equal(shared, embed(annihilation(3), 0, space).data)
+        with pytest.raises(ValueError):
+            shared[0, 1] = 0.0
+        model._lowering.cache_clear()
+        build_hamiltonian(sides[0], space)
+        assert sorted(embedded) == [0, 1, 2]
 
 
 class TestCollapseOperators:
