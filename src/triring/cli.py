@@ -42,7 +42,7 @@ from .errors import (
     TriringError,
     UndefinedRatioError,
 )
-from .fock import CompositeSpace
+from .fock import CompositeSpace, _is_integral
 from .lindblad import build_liouvillian, steady_state
 from .model import (
     DriveSide,
@@ -167,15 +167,6 @@ def _config_bool(value, what: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{what} must be true or false, got {value!r}")
     return value
-
-
-def _is_integral(value) -> bool:
-    # bool is an int subclass, and 4.0 is as good as 4; 4.7 and "4" are not
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, np.integer)) or (
-        isinstance(value, float) and value.is_integer()
-    )
 
 
 def _config_int(value, what: str) -> int:
@@ -330,6 +321,8 @@ class Axis:
             raise ConfigError(
                 f"unknown sweep axis {self.name!r}; allowed: {list(AXIS_NAMES)}"
             )
+        count = _config_int(self.count, f"axis {self.name!r} count")
+        object.__setattr__(self, "count", count)
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ConfigError(
                 f"axis {self.name!r} needs finite start and stop, got {self.start}, {self.stop}"
@@ -363,6 +356,10 @@ class SweepSpec:
         if len(set(names)) != len(names):
             raise ConfigError(f"sweep axes must be distinct, got {names}")
         _drive_sides(self.directions)
+        object.__setattr__(self, "dims", _parse_dims(self.dims))
+        check = _config_bool(self.convergence_check, "convergence_check")
+        object.__setattr__(self, "convergence_check", check)
+        object.__setattr__(self, "point_cap", _config_int(self.point_cap, "point_cap"))
         # the name is the basename of the files a sweep writes into its
         # output directory, so it may not lead out of it
         if not isinstance(self.name, str):
@@ -404,19 +401,13 @@ class SweepSpec:
         return [(float(u), float(v)) for u in grids[0] for v in grids[1]]
 
 
-def _p_columns(dims: tuple[int, ...]) -> tuple[list[str], list[str]]:
-    fwd = [f"p{m}_fwd" for m in range(min(P_M_MAX, dims[MODE_C]))]
-    bwd = [f"p{m}_bwd" for m in range(min(P_M_MAX, dims[MODE_A]))]
-    return fwd, bwd
-
-
 def _value_columns(dims: tuple[int, ...], convergence_check: bool) -> list[str]:
-    p_fwd, p_bwd = _p_columns(dims)
     cols = [
         "t_fwd", "t_bwd", "isolation",
         "g2_fwd", "g2_bwd", "g3_fwd", "g3_bwd", "ratio",
         "n_a_fwd", "n_b_fwd", "n_c_fwd", "n_a_bwd", "n_b_bwd", "n_c_bwd",
-        *p_fwd, *p_bwd,
+        *(f"p{m}_fwd" for m in range(min(P_M_MAX, dims[MODE_C]))),
+        *(f"p{m}_bwd" for m in range(min(P_M_MAX, dims[MODE_A]))),
     ]
     if convergence_check:
         cols += ["drift_t_fwd", "drift_t_bwd", "drift_g2_fwd", "drift_g2_bwd"]
@@ -445,18 +436,11 @@ def _point_key(spec: SweepSpec, values: tuple[float, ...]) -> tuple:
     params = spec.fixed
     for ax, value in zip(spec.axes, values):
         params = apply_axis(params, ax.name, value)
-    return params, tuple(spec.dims), spec.directions, spec.convergence_check
+    return params, spec.dims, spec.directions, spec.convergence_check
 
 
 def _sweep_worker(key: tuple) -> PointResult:
-    params, dims, directions, convergence_check = key
-    return run_point(
-        params,
-        dims=dims,
-        directions=directions,
-        convergence_check=convergence_check,
-        strict=False,
-    )
+    return run_point(*key, strict=False)
 
 
 @dataclass
@@ -540,10 +524,8 @@ def run_sweep(
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(value)
 
 
@@ -553,35 +535,6 @@ def write_csv(fh: TextIO, columns: list[str], rows: list[list]) -> None:
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_format_cell(cell) for cell in row])
-
-
-def _json_cell(value):
-    if value is None or isinstance(value, str):
-        return value
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
-
-
-def write_json(path: Path, name: str, columns: list[str], rows: list[list]) -> None:
-    doc = {
-        "name": name,
-        "columns": columns,
-        "rows": [[_json_cell(cell) for cell in row] for row in rows],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def _write_manifest(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["version"] = __version__
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _emit(
@@ -594,7 +547,9 @@ def _emit(
 ) -> list[Path]:
     """Write ``<basename>.csv`` / ``.json`` and ``<basename>_manifest.json``.
 
-    ``manifest`` gains ``name`` and ``files`` unless it sets them itself.
+    Row cells are None, str, int or float, which CSV and JSON take as they
+    are.  ``manifest`` gains ``name`` and ``files`` unless it sets them
+    itself, and always ``version``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -606,19 +561,24 @@ def _emit(
         written.append(path)
     if "json" in formats:
         path = out_dir / f"{basename}.json"
-        write_json(path, basename, columns, rows)
+        with open(path, "w") as fh:
+            json.dump({"name": basename, "columns": columns, "rows": rows}, fh, indent=1)
+            fh.write("\n")
         written.append(path)
-    manifest = {"name": basename, "files": [p.name for p in written], **manifest}
-    manifest_path = out_dir / f"{basename}_manifest.json"
-    _write_manifest(manifest_path, manifest)
-    written.append(manifest_path)
-    return written
+    manifest = {
+        "name": basename, "files": [p.name for p in written], **manifest,
+        "version": __version__,
+    }
+    path = out_dir / f"{basename}_manifest.json"
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return [*written, path]
 
 
 def emit_sweep(
     result: SweepResult,
     out_dir: Path,
-    basename: str | None = None,
     formats: tuple[str, ...] = ("csv", "json"),
 ) -> list[Path]:
     """Write CSV/JSON mirrors plus a run manifest for a finished sweep."""
@@ -634,8 +594,7 @@ def emit_sweep(
         "wall_time_s": result.wall_time_s,
     }
     return _emit(
-        out_dir, basename or result.spec.name, result.columns, result.rows,
-        manifest, formats,
+        out_dir, result.spec.name, result.columns, result.rows, manifest, formats
     )
 
 
@@ -644,11 +603,11 @@ def emit_table(
     basename: str,
     columns: list[str],
     rows: list[list],
-    manifest_extra: dict | None = None,
+    manifest_extra: dict,
     formats: tuple[str, ...] = ("csv", "json"),
 ) -> list[Path]:
     """Write CSV/JSON mirrors plus a manifest for a table built outside a sweep."""
-    manifest = {"kind": "table", **(manifest_extra or {})}
+    manifest = {"kind": "table", **manifest_extra}
     return _emit(out_dir, basename, columns, rows, manifest, formats)
 
 
@@ -928,7 +887,7 @@ def load_sweep_spec(doc: dict) -> SweepSpec:
                 name=str(entry["name"]),
                 start=_config_float(entry["start"], f"{label} start"),
                 stop=_config_float(entry["stop"], f"{label} stop"),
-                count=_config_int(entry["count"], f"{label} count"),
+                count=entry["count"],
             )
         )
     outputs = doc.get("outputs")
@@ -938,12 +897,10 @@ def load_sweep_spec(doc: dict) -> SweepSpec:
         axes=tuple(axes),
         fixed=params_from_dict(doc["fixed"]),
         directions=doc.get("directions", "both"),
-        dims=_parse_dims(doc.get("dims")),
+        dims=doc.get("dims"),
         outputs=None if outputs is None else tuple(outputs),
-        convergence_check=_config_bool(
-            doc.get("convergence_check", False), "convergence_check"
-        ),
-        point_cap=_config_int(doc.get("point_cap", DEFAULT_POINT_CAP), "point_cap"),
+        convergence_check=doc.get("convergence_check", False),
+        point_cap=doc.get("point_cap", DEFAULT_POINT_CAP),
         name=doc.get("name", "sweep"),
     )
 
@@ -988,7 +945,7 @@ def _formats(args) -> tuple[str, ...]:
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(_load_json(args.spec))
     if args.dims is not None:
-        spec = dataclasses.replace(spec, dims=_parse_dims(args.dims))
+        spec = dataclasses.replace(spec, dims=args.dims)
     result = run_sweep(spec, jobs=args.jobs)
     files = emit_sweep(result, Path(args.out), formats=_formats(args))
     for path in files:

@@ -33,6 +33,15 @@ __all__ = [
 ]
 
 
+def _is_integral(value) -> bool:
+    # bool is an int subclass, and 4.0 is as good as 4; 4.7 and "4" are not
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, np.integer)) or (
+        isinstance(value, float) and value.is_integer()
+    )
+
+
 @dataclass(frozen=True)
 class ModeSpace:
     """A single bosonic mode keeping the Fock states |0> ... |dim-1>."""
@@ -57,12 +66,14 @@ class CompositeSpace:
     mode_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.mode_dims)
+        dims = tuple(self.mode_dims)
         if not dims:
             raise InvalidDimensionError("a composite space needs at least one mode")
-        if any(d < 1 for d in dims):
-            raise InvalidDimensionError(f"mode dimensions must be >= 1, got {dims}")
-        object.__setattr__(self, "mode_dims", dims)
+        if not all(_is_integral(d) and d >= 1 for d in dims):
+            raise InvalidDimensionError(
+                f"mode dimensions must be whole numbers >= 1, got {dims}"
+            )
+        object.__setattr__(self, "mode_dims", tuple(int(d) for d in dims))
 
     @classmethod
     def single(cls, dim: int) -> "CompositeSpace":

@@ -14,8 +14,9 @@ these terms gives in this order (the H part, then each C_k's three terms
 in list order), entries that end exactly zero dropped.  It replays that
 sum in one vectorized numpy pass on the union of the terms' positions.
 The union depends only on D and the sparsity patterns of H, C_k and
-C_k'C_k, so it is kept for the last two patterns seen: the two drive
-sides of a sweep point.
+C_k'C_k, so it is kept for the two patterns last used at each of the two
+sizes D last used: the two drive sides of a sweep point, and of its
+re-solve one Fock level up when the convergence check runs.
 
 The default steady-state solver replaces one Liouvillian row by the trace
 functional and solves the resulting nonsingular sparse system with GMRES,
@@ -192,10 +193,15 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vector).reshape((dim, dim), order="F")
 
 
-# (key, indptr, indices, per-term positions) of the last two sparsity
-# patterns build_liouvillian assembled, most recent last: the two drive
-# sides of a sweep point differ only in where the drive sits in H
+# (key, indptr, indices, per-term positions) of the sparsity patterns
+# build_liouvillian assembled: the last two used at each of the last two
+# sizes D^2 (key[0]), grouped by size, most recent first.  The two drive
+# sides of a sweep point differ only in where the drive sits in H; the
+# convergence check re-solves each side at a second size.  A flat LRU of
+# four would instead keep stale patterns of one size resident (kappa_b = 0
+# drops a jump operator).
 _STRUCTURES: list[tuple] = []
+_STRUCTURE_SIZES = 2
 _STRUCTURE_SLOTS = 2
 
 
@@ -240,9 +246,12 @@ def _structure(n: int, factors: list, patterns: list) -> tuple:
     entry = next((e for e in _STRUCTURES if e[0] == key), None)
     if entry is None:
         entry = (key, *_union_structure(n, factors))
+    by_size: dict[int, list] = {}
+    for e in (entry, *(e for e in _STRUCTURES if e is not entry)):
+        by_size.setdefault(e[0][0], []).append(e)
+    groups = list(by_size.values())[:_STRUCTURE_SIZES]
     # one assignment: a concurrent call may lose an entry, never break the list
-    kept = [e for e in _STRUCTURES if e is not entry] + [entry]
-    _STRUCTURES[:] = kept[-_STRUCTURE_SLOTS:]
+    _STRUCTURES[:] = [e for group in groups for e in group[:_STRUCTURE_SLOTS]]
     return entry[1:]
 
 
@@ -267,8 +276,10 @@ def build_liouvillian(hamiltonian: Operator, c_ops: list[Operator]) -> Superoper
     only one operand stores (``a + 0``, ``0 - b``, ...).  That union
     depends only on D and the sparsity patterns of H, C and C'C, which a
     sweep does not change; it is computed on a cache miss (about as long as
-    the scipy sum) and kept for the last two patterns seen, the two drive
-    sides of a point.  The returned matrix owns copies of the cached arrays.
+    the scipy sum) and kept for the two patterns last used at each of the
+    two sizes D last used: the two drive sides of a point, and of its
+    convergence re-solve at dims + 1.  The returned matrix owns copies of
+    the cached arrays.
     """
     space = hamiltonian.space
     for op in c_ops:

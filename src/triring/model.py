@@ -211,18 +211,15 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
             h += coeff * (ad @ ad @ a @ a)
 
     coupling = np.zeros((d, d), dtype=complex)
-    if params.j_ac != 0.0:
-        a = _lowering(space.mode_dims, MODE_A).data
-        c = _lowering(space.mode_dims, MODE_C).data
-        coupling += params.j_ac * cmath.exp(1j * params.theta) * (a @ c.conj().T)
-    if params.j_ab != 0.0:
-        a = _lowering(space.mode_dims, MODE_A).data
-        b = _lowering(space.mode_dims, MODE_B).data
-        coupling += params.j_ab * (a @ b.conj().T)
-    if params.j_bc != 0.0:
-        c = _lowering(space.mode_dims, MODE_C).data
-        b = _lowering(space.mode_dims, MODE_B).data
-        coupling += params.j_bc * (c @ b.conj().T)
+    for coeff, x, y in (
+        (params.j_ac * cmath.exp(1j * params.theta), MODE_A, MODE_C),
+        (params.j_ab, MODE_A, MODE_B),
+        (params.j_bc, MODE_C, MODE_B),
+    ):
+        if coeff != 0.0:
+            x_op = _lowering(space.mode_dims, x).data
+            y_op = _lowering(space.mode_dims, y).data
+            coupling += coeff * (x_op @ y_op.conj().T)
     if params.j_ac != 0.0 or params.j_ab != 0.0 or params.j_bc != 0.0:
         h += coupling + coupling.conj().T
 
@@ -253,8 +250,6 @@ def collapse_operators(params: SystemParams, space: CompositeSpace) -> list[Oper
         (params.kappa_c, MODE_C),
         (params.kappa_b, MODE_B),
     ):
-        if rate < 0:
-            raise InvalidRateError(f"loss rates must be >= 0, got {rate}")
         if rate == 0.0 or space.mode_dims[mode] == 1:
             # zero operator either way; keep the sparse assembly clean
             continue

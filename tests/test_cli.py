@@ -123,6 +123,10 @@ class TestRunPoint:
         assert result.g2_fwd is None
         assert "occupation" in result.error_fwd
 
+    def test_non_integral_dims_rejected(self):
+        with pytest.raises(PointEvaluationError, match="whole numbers"):
+            run_point(two_cavity_params(), dims=(3.7, 1, 3))
+
     def test_single_direction(self):
         result = run_point(two_cavity_params(), dims=(3, 1, 3), directions="left")
         assert result.t_fwd is not None
@@ -310,6 +314,37 @@ class TestSweepSpec:
             "p<m>_fwd needs dims[c] > m and p<m>_bwd needs dims[a] > m"
         )
 
+    def test_axis_count_must_be_integral(self):
+        with pytest.raises(ConfigError, match="axis 'delta' count must be an integer, got 2.5"):
+            Axis("delta", -1, 1, 2.5)
+        assert type(Axis("delta", -1, 1, 3.0).count) is int
+
+    def test_convergence_check_must_be_bool(self):
+        with pytest.raises(ConfigError, match="convergence_check must be true or false"):
+            SweepSpec(
+                axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(),
+                convergence_check="false",
+            )
+
+    def test_dims_checked_and_normalized(self):
+        with pytest.raises(ConfigError, match="dims must be >= 1 and whole numbers"):
+            SweepSpec(
+                axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(),
+                dims=(3.7, 1, 3),
+            )
+        spec = SweepSpec(
+            axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(),
+            dims=[np.int64(3), 1.0, 3],
+        )
+        assert spec.dims == (3, 1, 3) and all(type(d) is int for d in spec.dims)
+
+    def test_point_cap_must_be_integral(self):
+        with pytest.raises(ConfigError, match="point_cap must be an integer"):
+            SweepSpec(
+                axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(),
+                point_cap="100",
+            )
+
     def test_grid_is_row_major(self):
         spec = SweepSpec(
             axes=(Axis("delta", 0.0, 1.0, 2), Axis("kappa_b", 0.0, 2.0, 3)),
@@ -429,6 +464,39 @@ class TestFormatting:
 
     def test_numpy_scalars_normalized(self):
         assert _format_cell(np.float64(0.5)) == "0.5"
+
+
+class TestRowTypes:
+    """Every emitted cell is None, str, int or float, the types the CSV and
+    JSON writers take as they are (a numpy scalar or a bool would not be)."""
+
+    @staticmethod
+    def assert_plain(rows):
+        assert rows
+        kinds = {type(cell) for row in rows for cell in row}
+        assert kinds <= {type(None), str, int, float}, kinds
+
+    def test_sweep_rows(self):
+        spec = SweepSpec(
+            axes=(Axis("kappa_b", 0.0, 1.0, 2),), fixed=baseline_params(omega=0.0),
+            dims=(3, 3, 3), convergence_check=True,
+        )
+        failed = run_sweep(spec, jobs=1)  # zero drive: error flags, no values
+        self.assert_plain(failed.rows)
+        spec = dataclasses.replace(spec, fixed=baseline_params())
+        self.assert_plain(run_sweep(spec, jobs=1).rows)
+
+    @pytest.mark.parametrize("name", ["fig3c", "smatrix_check", "conditions_check"])
+    def test_table_rows(self, tmp_path, monkeypatch, name):
+        tables = {}
+
+        def capture(out_dir, basename, columns, rows, manifest_extra, formats):
+            tables[basename] = rows
+            return []
+
+        monkeypatch.setattr(cli, "emit_table", capture)
+        getattr(cli, f"_{name}_table")(tmp_path, (4, 3, 4), ("csv",))
+        self.assert_plain(tables[name])
 
 
 class TestScenarios:

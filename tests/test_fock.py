@@ -45,6 +45,16 @@ class TestSpaces:
         with pytest.raises(InvalidDimensionError):
             CompositeSpace((3, 0))
 
+    @pytest.mark.parametrize("dims", [(3.7, 1, 3), ("4", 4, 4), (True, 2), (3, None)])
+    def test_composite_rejects_non_integral_dims(self, dims):
+        with pytest.raises(InvalidDimensionError, match="whole numbers"):
+            CompositeSpace(dims)
+
+    def test_composite_normalizes_integral_dims(self):
+        space = CompositeSpace((np.int64(3), 1.0, 4))
+        assert space.mode_dims == (3, 1, 4)
+        assert all(type(d) is int for d in space.mode_dims)
+
     def test_operator_shape_checked(self):
         with pytest.raises(SpaceMismatchError):
             Operator(CompositeSpace((3,)), np.zeros((2, 2)))

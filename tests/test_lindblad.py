@@ -33,7 +33,7 @@ from triring import (
     unvec,
     vec,
 )
-from triring.cli import baseline_params, two_cavity_params
+from triring.cli import baseline_params, run_point, two_cavity_params
 from conftest import random_density_matrix
 
 
@@ -242,6 +242,27 @@ class TestAssembly:
             assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
             assert len(built) == count
             assert len(lindblad._STRUCTURES) == min(count, 2)
+
+    def test_convergence_check_keeps_both_sizes(self, monkeypatch):
+        built = []
+        union = lindblad._union_structure
+
+        def counting(n, factors):
+            built.append(n)
+            return union(n, factors)
+
+        monkeypatch.setattr(lindblad, "_STRUCTURES", [])
+        monkeypatch.setattr(lindblad, "_union_structure", counting)
+        # each point assembles left at 3^3 and 4^3, then right at both: four
+        # patterns over two sizes, built once and reused by the next points
+        for kappa_b in (0.5, 1.0, 1.5):
+            run_point(baseline_params(kappa_b=kappa_b), dims=(3, 3, 3),
+                      convergence_check=True)
+        assert built == [27 ** 2, 64 ** 2] * 2
+        assert len(lindblad._STRUCTURES) == 4
+        # a third size evicts the one used least recently, both its patterns
+        build_liouvillian(*ring_model((2, 2, 2), DriveSide.LEFT, 1.0))
+        assert sorted(e[0][0] for e in lindblad._STRUCTURES) == [8 ** 2, 64 ** 2, 64 ** 2]
 
     @pytest.mark.parametrize("zeros_dropped", [False, True])
     def test_returned_arrays_are_copies(self, monkeypatch, zeros_dropped):
