@@ -8,6 +8,7 @@ element convention is ``A[i*dC + k, j*dC + l] = B[i, j] * C[k, l]``.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import reduce
@@ -40,6 +41,21 @@ def _is_integral(value) -> bool:
     return isinstance(value, (int, np.integer)) or (
         isinstance(value, float) and value.is_integer()
     )
+
+
+def _finite_float(value, what: str, error: type[Exception]) -> float:
+    """``value`` as a float; ``error`` naming ``what`` unless it is a finite number."""
+    # float() would turn True/False into 1.0/0.0
+    if isinstance(value, (bool, np.bool_)):
+        raise error(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise error(f"{what} must be a number, got {value!r}") from None
+    # json reads NaN, Infinity and -Infinity
+    if not math.isfinite(number):
+        raise error(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ providing a cross-check that shares no code path with the algebraic solvers.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -455,12 +456,15 @@ def _no_jump_preconditioner(liouv: Superoperator):
     return spla.LinearOperator((n, n), matvec=apply, dtype=complex)
 
 
+# scipy < 1.12 spells gmres's relative tolerance 'tol'
+_GMRES_RTOL = "rtol" if "rtol" in inspect.signature(spla.gmres).parameters else "tol"
+
+
 def _gmres(constrained, rhs, preconditioner, rtol):
-    kwargs = dict(M=preconditioner, atol=0.0, restart=200, maxiter=5)
-    try:
-        return spla.gmres(constrained, rhs, rtol=rtol, **kwargs)
-    except TypeError:  # scipy < 1.12 spells the relative tolerance 'tol'
-        return spla.gmres(constrained, rhs, tol=rtol, **kwargs)
+    return spla.gmres(
+        constrained, rhs, M=preconditioner, atol=0.0, restart=200, maxiter=5,
+        **{_GMRES_RTOL: rtol},
+    )
 
 
 def _no_convergence(n: int, step: str, residual=float("inf"), bound=None) -> NoConvergenceError:

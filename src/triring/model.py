@@ -28,7 +28,7 @@ from .errors import (
     InvalidSpaceError,
     UnsupportedAsymmetryError,
 )
-from .fock import CompositeSpace, Operator, annihilation, embed
+from .fock import CompositeSpace, Operator, _finite_float, annihilation, embed
 from .scattering import LinearModel
 
 __all__ = [
@@ -100,9 +100,9 @@ class SystemParams:
                 f"{[side.value for side in DriveSide]}, got {self.drive!r}"
             ) from None
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "drive" and not math.isfinite(value):
-                raise InvalidRateError(f"{f.name} must be a finite number, got {value}")
+            if f.name != "drive":
+                value = _finite_float(getattr(self, f.name), f.name, InvalidRateError)
+                object.__setattr__(self, f.name, value)
         if self.kappa_a <= 0 or self.kappa_c <= 0:
             raise InvalidRateError(
                 "the input-output ports must be lossy: kappa_a and kappa_c must be > 0, "
@@ -268,6 +268,8 @@ def optimal_condition(
     kappa_b = kappa.  A negative raw j_ac is folded into the phase,
     ``theta -> theta + pi``, keeping the reported coupling non-negative.
     """
+    theta = _finite_float(theta, "theta", InvalidRateError)
+    kappa = _finite_float(kappa, "kappa", InvalidRateError)
     if kappa <= 0:
         raise InvalidRateError(f"kappa must be > 0, got {kappa}")
     s = math.sin(theta)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import (
     SingularDenominatorError,
     UnsupportedAsymmetryError,
 )
+from .fock import _finite_float
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import SystemParams
@@ -77,6 +78,9 @@ class LinearModel:
     kappa_b: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = _finite_float(getattr(self, f.name), f.name, InvalidRateError)
+            object.__setattr__(self, f.name, value)
         for name in ("kappa_a", "kappa_c", "kappa_b"):
             if getattr(self, name) < 0:
                 raise InvalidRateError(

@@ -273,8 +273,16 @@ class TestSweepSpec:
         (float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0),
     ])
     def test_axis_bounds_must_be_finite(self, start, stop):
-        with pytest.raises(ConfigError, match="needs finite start and stop"):
+        with pytest.raises(ConfigError, match="must be a finite number"):
             Axis("delta", start, stop, 3)
+
+    def test_axis_bounds_follow_the_number_rule(self):
+        axis = Axis("delta", "0", 1, 3)
+        assert type(axis.start) is float and axis.start == 0.0
+        assert type(axis.stop) is float and axis.stop == 1.0
+        for start, shown in ((True, "True"), ("x", "'x'"), (None, "None")):
+            with pytest.raises(ConfigError, match=f"^axis 'delta' start must be a number, got {shown}$"):
+                Axis("delta", start, 2.0, 3)
 
     def test_point_cap(self):
         with pytest.raises(SweepCapError):
@@ -746,6 +754,23 @@ class TestCommandLine:
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["spec.json"]
 
+    @pytest.mark.parametrize("entry, keys", [
+        ({"name": "delta", "start": -1, "stop": 1, "count": 2, "step": 1},
+         "['count', 'name', 'start', 'step', 'stop']"),
+        ({"name": "delta", "start": -1, "count": 2}, "['count', 'name', 'start']"),
+    ])
+    def test_axis_entry_keys_are_exact(self, tmp_path, capsys, entry, keys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "axes": [entry], "fixed": {"omega": 0.1, "j": 0.7, "u": 5.0}, "dims": [3, 1, 3],
+        }))
+        message = f"axis entry keys must be ['count', 'name', 'start', 'stop'], got {keys}"
+        assert main(["validate", str(spec)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        out = tmp_path / "out"
+        assert main(["sweep", str(spec), "--out", str(out), "--jobs", "1"]) == 2
+        assert [p.name for p in tmp_path.rglob("*")] == ["spec.json"]
+
     def test_readme_configs_validate(self, tmp_path, capsys):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
@@ -812,7 +837,7 @@ def read_rows(path):
 class TestPointMemo:
     @pytest.mark.parametrize("first, second, dims, first_calls", [
         ("fig2a", "fig2d", 3, 101),
-        ("fig3", "fig4", 4, 83),  # 81 sweep points plus fig3c's two direct calls
+        ("fig3", "fig4", 4, 81),  # fig3c reads its two points from the fig3ab grid
     ])
     def test_shared_grid_solved_once(self, tmp_path, monkeypatch,
                                      first, second, dims, first_calls):
@@ -828,11 +853,27 @@ class TestPointMemo:
         calls = counting_run_point(monkeypatch)  # a new fake: a new, empty memo
         scenario("fig4", tmp_path / "memo", dims=4, jobs=1)
         scenario("fig3", tmp_path / "memo", dims=4, jobs=1)
-        assert len(calls) == 81 + 2
+        assert len(calls) == 81
         for stem in ("fig3ab", "fig3c"):
             assert (tmp_path / "memo" / f"{stem}.csv").read_bytes() == (
                 tmp_path / "fresh" / f"{stem}.csv"
             ).read_bytes()
+
+    def test_flagged_fig3c_point_is_solved_again_and_raises(self, tmp_path, monkeypatch):
+        calls = counting_run_point(monkeypatch)
+        fake = cli.run_point
+
+        def flag_kappa_b_1(params, dims, directions, convergence_check, strict=True):
+            if params.kappa_b == 1.0:
+                if strict:
+                    raise PointEvaluationError("forward (drive left) evaluation failed: x")
+                return PointResult(error_fwd="NoConvergenceError: x")
+            return fake(params, dims, directions, convergence_check, strict)
+
+        monkeypatch.setattr(cli, "run_point", flag_kappa_b_1)
+        with pytest.raises(PointEvaluationError, match="forward"):
+            scenario("fig3", tmp_path, dims=4, jobs=1)
+        assert len(calls) == 80
 
     def test_other_dims_are_kept_apart(self, tmp_path, monkeypatch):
         calls = counting_run_point(monkeypatch)
@@ -892,7 +933,7 @@ class TestPointMemo:
         names = ["fig2a", "fig2d", "fig3", "fig4"]
         options = ["--dims", "4", "--jobs", "1", "--out"]
         assert main(["scenario", *names, *options, str(tmp_path / "together")]) == 0
-        assert len(calls) == 101 + 83
+        assert len(calls) == 101 + 81
         for name in names:
             counting_run_point(monkeypatch)
             assert main(["scenario", name, *options, str(tmp_path / "apart")]) == 0

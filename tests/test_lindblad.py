@@ -485,6 +485,47 @@ class TestSteadyStateFailures:
             f"(limit {lindblad._DENSE_NULLSPACE_LIMIT})"
         )
 
+    def test_eigendecomposition_failure(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        with pytest.raises(NoConvergenceError, match="at the preconditioner"):
+            steady_state(driven_cavity())
+
+    def test_operator_type_error_propagates_from_one_gmres_call(self, monkeypatch):
+        def broken(x):
+            raise TypeError("operator bug")
+
+        calls = []
+        gmres = spla.gmres
+        monkeypatch.setattr(spla, "gmres", lambda *a, **kw: calls.append(kw) or gmres(*a, **kw))
+        operator = spla.LinearOperator((4, 4), matvec=broken, dtype=complex)
+        with pytest.raises(TypeError, match="^operator bug$"):
+            lindblad._gmres(operator, np.ones(4, dtype=complex), None, rtol=1e-11)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("info, fill", [(1, 0.5), (-1, 0.5), (0, np.nan)])
+    def test_failed_refinement_round_keeps_previous_iterate(self, monkeypatch, info, fill):
+        first = np.array([0.5 + 1e-3j, 0.25])
+        runs = iter([(first.copy(), 0), (np.full(2, fill, dtype=complex), info)])
+        monkeypatch.setattr(lindblad, "_gmres", lambda *a, **kw: next(runs))
+        x = lindblad._gmres_refined(2.0 * np.eye(2), np.ones(2, dtype=complex), None)
+        assert x.tobytes() == first.tobytes()
+        assert next(runs, None) is None  # one refinement round, then stop
+
+    def test_zero_trace_candidate(self):
+        liouv = driven_cavity()
+        raw = vec(np.diag([1.0, -1.0] + [0.0] * (liouv.space.dim - 2)))
+        with pytest.raises(NoConvergenceError, match=r"\(near-\)zero trace"):
+            lindblad._finalize(liouv, raw, SteadyStateOptions(), "trace-constrained")
+
+    def test_non_hermitian_candidate_without_hermitizing(self):
+        liouv = build_liouvillian(zero_operator((2,)), [])  # every candidate has residual 0
+        raw = vec(np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))
+        with pytest.raises(NonPhysicalStateError, match="not Hermitian"):
+            lindblad._finalize(liouv, raw, SteadyStateOptions(hermitize=False), "null-space")
+
     def test_residual_above_bound(self, monkeypatch):
         refined = lindblad._gmres_refined
 

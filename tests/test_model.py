@@ -52,6 +52,19 @@ class TestSystemParams:
         with pytest.raises(InvalidRateError, match=f"^{name} must be a finite number"):
             SystemParams(**{name: value})
 
+    @pytest.mark.parametrize("name, value, shown", [
+        ("omega", True, "True"), ("j_ac", "x", "'x'"), ("theta", None, "None"),
+    ])
+    def test_values_must_be_numbers(self, name, value, shown):
+        with pytest.raises(InvalidRateError, match=f"^{name} must be a number, got {shown}$"):
+            SystemParams(**{name: value})
+
+    def test_values_stored_as_floats(self):
+        params = SystemParams(kappa_b=1, omega=np.float64(0.1), delta_a="0.5")
+        assert type(params.kappa_b) is float and params.kappa_b == 1.0
+        assert type(params.omega) is float and type(params.delta_a) is float
+        assert params == SystemParams(kappa_b=1.0, omega=0.1, delta_a=0.5)
+
     def test_weak_drive_warning(self):
         with pytest.warns(UserWarning, match="weak-drive"):
             SystemParams(omega=0.6, kappa_a=1.0, kappa_c=1.0)
@@ -224,6 +237,15 @@ class TestOptimalCondition:
         for theta in (0.0, math.pi, -math.pi):
             with pytest.raises(DegeneratePhaseError):
                 optimal_condition(TransmissionDirection.FORWARD, theta, 1.0)
+
+    @pytest.mark.parametrize("theta, kappa, match", [
+        (float("nan"), 1.0, "theta must be a finite number"),
+        (-math.pi / 4, float("inf"), "kappa must be a finite number"),
+        (True, 1.0, "theta must be a number, got True"),
+    ])
+    def test_inputs_must_be_finite_numbers(self, theta, kappa, match):
+        with pytest.raises(InvalidRateError, match=match):
+            optimal_condition(TransmissionDirection.FORWARD, theta, kappa)
 
     def test_kappa_must_be_positive(self):
         with pytest.raises(InvalidRateError):

@@ -65,6 +65,21 @@ class TestDriftMatrix:
         with pytest.raises(InvalidRateError):
             LinearModel(kappa_a=-1.0)
 
+    @pytest.mark.parametrize("name, value, match", [
+        ("kappa_b", float("nan"), "kappa_b must be a finite number, got nan"),
+        ("j_ac", float("inf"), "j_ac must be a finite number, got inf"),
+        ("theta", True, "theta must be a number, got True"),
+        ("omega_a", "x", "omega_a must be a number, got 'x'"),
+    ])
+    def test_values_must_be_finite_numbers(self, name, value, match):
+        with pytest.raises(InvalidRateError, match=f"^{match}$"):
+            LinearModel(**{name: value})
+
+    def test_values_stored_as_floats(self):
+        model = LinearModel(kappa_a="1", kappa_b=2)
+        assert type(model.kappa_a) is float and model.kappa_a == 1.0
+        assert type(model.kappa_b) is float and model.kappa_b == 2.0
+
 
 class TestScatteringMatrix:
     def test_decoupled_port_reflects_with_unit_modulus(self):
