@@ -953,6 +953,8 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_validate(args) -> int:
     doc = _load_json(args.config)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {json.dumps(doc)}")
     if "axes" in doc:
         spec = load_sweep_spec(doc)
         print(

@@ -45,8 +45,9 @@ def _is_integral(value) -> bool:
 
 def _finite_float(value, what: str, error: type[Exception]) -> float:
     """``value`` as a float; ``error`` naming ``what`` unless it is a finite number."""
-    # float() would turn True/False into 1.0/0.0
-    if isinstance(value, (bool, np.bool_)):
+    # float() would turn True/False into 1.0/0.0 and read "0.1"; a number
+    # given as a JSON string is refused, as the integer inputs refuse "3"
+    if isinstance(value, (bool, np.bool_, str, bytes)):
         raise error(f"{what} must be a number, got {value!r}")
     try:
         number = float(value)

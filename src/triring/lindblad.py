@@ -27,17 +27,21 @@ a solve runs in bounded time and memory and a failure raises
 a fixed D^2, is kept as an independent method.  ``evolve`` integrates the
 master equation in matrix form (never touching the superoperator),
 providing a cross-check that shares no code path with the algebraic solvers.
+
+scipy is imported by the functions that use it, on their first call, so
+importing this module (and the package's CLI) loads none of it.  Each call
+still looks ``scipy.sparse.linalg.gmres`` and ``numpy.linalg.eig`` up as
+module attributes, so a patched attribute is the one that runs.
 """
 
 from __future__ import annotations
 
-import inspect
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     InvalidDimensionError,
@@ -48,6 +52,9 @@ from .errors import (
     StepTooLargeError,
 )
 from .fock import CompositeSpace, Operator
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DensityMatrix",
@@ -282,6 +289,8 @@ def build_liouvillian(hamiltonian: Operator, c_ops: list[Operator]) -> Superoper
     convergence re-solve at dims + 1.  The returned matrix owns copies of
     the cached arrays.
     """
+    import scipy.sparse as sp
+
     space = hamiltonian.space
     for op in c_ops:
         if op.space != space:
@@ -394,6 +403,9 @@ def _constrained_system(liouv: Superoperator):
     gives the same bits as the matrix with row k replaced and holds no
     second copy of L.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     d = liouv.space.dim
     n = d * d
     matrix = liouv.data.tocsr()
@@ -425,6 +437,8 @@ def _no_jump_preconditioner(liouv: Superoperator):
     clamped, which only weakens the preconditioner, never the solution.
     Returns None when no usable decomposition exists.
     """
+    import scipy.sparse.linalg as spla
+
     if liouv.components is None:
         return None
     hamiltonian, c_ops = liouv.components
@@ -456,14 +470,25 @@ def _no_jump_preconditioner(liouv: Superoperator):
     return spla.LinearOperator((n, n), matvec=apply, dtype=complex)
 
 
-# scipy < 1.12 spells gmres's relative tolerance 'tol'
-_GMRES_RTOL = "rtol" if "rtol" in inspect.signature(spla.gmres).parameters else "tol"
+@functools.cache
+def _gmres_rtol_keyword() -> str:
+    """gmres's relative-tolerance keyword, chosen once, at the first solve.
+
+    scipy < 1.12 spells it 'tol'.  Read from scipy's version rather than
+    from the signature of ``gmres``, which a tracer or a test may have
+    replaced by a wrapper when the first solve runs.
+    """
+    import scipy
+
+    return "rtol" if np.lib.NumpyVersion(scipy.__version__) >= "1.12.0" else "tol"
 
 
 def _gmres(constrained, rhs, preconditioner, rtol):
+    import scipy.sparse.linalg as spla
+
     return spla.gmres(
         constrained, rhs, M=preconditioner, atol=0.0, restart=200, maxiter=5,
-        **{_GMRES_RTOL: rtol},
+        **{_gmres_rtol_keyword(): rtol},
     )
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     InsufficientPopulationError,
@@ -124,7 +123,10 @@ def poisson_reference(mean: float, m_max: int) -> np.ndarray:
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     # the log form scipy.stats.poisson.pmf evaluates; importing scipy.stats
-    # for it would dominate the package's import time
+    # for it would dominate the package's import time, and scipy.special is
+    # imported here so that only the callers of this function load it
+    from scipy import special
+
     k = np.arange(m_max + 1)
     return np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
 

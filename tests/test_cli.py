@@ -277,10 +277,11 @@ class TestSweepSpec:
             Axis("delta", start, stop, 3)
 
     def test_axis_bounds_follow_the_number_rule(self):
-        axis = Axis("delta", "0", 1, 3)
+        axis = Axis("delta", np.int64(0), 1, 3)
         assert type(axis.start) is float and axis.start == 0.0
         assert type(axis.stop) is float and axis.stop == 1.0
-        for start, shown in ((True, "True"), ("x", "'x'"), (None, "None")):
+        # a number given as a string is refused, as it is for counts and dims
+        for start, shown in ((True, "True"), ("x", "'x'"), (None, "None"), ("0", "'0'")):
             with pytest.raises(ConfigError, match=f"^axis 'delta' start must be a number, got {shown}$"):
                 Axis("delta", start, 2.0, 3)
 
@@ -730,6 +731,19 @@ class TestCommandLine:
         ({"axes": [{"name": "delta", "start": 0, "stop": float("inf"), "count": 2}],
           "fixed": {}},
          "axis 'delta' stop must be a finite number, got inf"),
+        # numbers given as JSON strings, at each place a document holds one
+        ({"params": {"omega": "0.1"}}, "parameter 'omega' must be a number, got '0.1'"),
+        ({"params": {"u": "5"}}, "parameter 'u' must be a number, got '5'"),
+        ({"axes": [{"name": "delta", "start": "0", "stop": 1, "count": 2}], "fixed": {}},
+         "axis 'delta' start must be a number, got '0'"),
+        ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}],
+          "fixed": {"omega": "0.1"}},
+         "parameter 'omega' must be a number, got '0.1'"),
+        ({"params": {"omega": 0.1}, "dims": "3"},
+         "dims must be >= 1 and whole numbers, got '3'"),
+        ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}], "fixed": {},
+          "dims": "3"},
+         "dims must be >= 1 and whole numbers, got '3'"),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"
@@ -791,6 +805,13 @@ class TestCommandLine:
         config.write_text(json.dumps({"params": {"width": 3}}))
         assert main(["validate", str(config)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["3", "null", '"axes"', "[]"])
+    def test_validate_rejects_a_document_that_is_not_an_object(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert main(["validate", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: config must be a JSON object, got {text}\n"
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/x.json"]) == 2

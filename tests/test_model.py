@@ -54,13 +54,14 @@ class TestSystemParams:
 
     @pytest.mark.parametrize("name, value, shown", [
         ("omega", True, "True"), ("j_ac", "x", "'x'"), ("theta", None, "None"),
+        ("delta_a", "0.5", "'0.5'"),
     ])
     def test_values_must_be_numbers(self, name, value, shown):
         with pytest.raises(InvalidRateError, match=f"^{name} must be a number, got {shown}$"):
             SystemParams(**{name: value})
 
     def test_values_stored_as_floats(self):
-        params = SystemParams(kappa_b=1, omega=np.float64(0.1), delta_a="0.5")
+        params = SystemParams(kappa_b=1, omega=np.float64(0.1), delta_a=np.float32(0.5))
         assert type(params.kappa_b) is float and params.kappa_b == 1.0
         assert type(params.omega) is float and type(params.delta_a) is float
         assert params == SystemParams(kappa_b=1.0, omega=0.1, delta_a=0.5)

@@ -70,13 +70,14 @@ class TestDriftMatrix:
         ("j_ac", float("inf"), "j_ac must be a finite number, got inf"),
         ("theta", True, "theta must be a number, got True"),
         ("omega_a", "x", "omega_a must be a number, got 'x'"),
+        ("kappa_a", "1", "kappa_a must be a number, got '1'"),
     ])
     def test_values_must_be_finite_numbers(self, name, value, match):
         with pytest.raises(InvalidRateError, match=f"^{match}$"):
             LinearModel(**{name: value})
 
     def test_values_stored_as_floats(self):
-        model = LinearModel(kappa_a="1", kappa_b=2)
+        model = LinearModel(kappa_a=np.int64(1), kappa_b=2)
         assert type(model.kappa_a) is float and model.kappa_a == 1.0
         assert type(model.kappa_b) is float and model.kappa_b == 2.0
 
