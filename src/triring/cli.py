@@ -480,6 +480,10 @@ def run_sweep(
     memo = {} if memo is None else memo
     missing = [key for key in dict.fromkeys(keys) if key not in memo]
     if jobs > 1 and len(missing) > 1:
+        # loaded once here, so forked workers inherit it instead of each
+        # importing it on its first point
+        import scipy.sparse.linalg  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             solved = pool.map(_sweep_worker, missing, chunksize=8)
             memo.update(zip(missing, solved))
@@ -953,9 +957,7 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_validate(args) -> int:
     doc = _load_json(args.config)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config must be a JSON object, got {json.dumps(doc)}")
-    if "axes" in doc:
+    if isinstance(doc, dict) and "axes" in doc:
         spec = load_sweep_spec(doc)
         print(
             f"valid sweep spec '{spec.name}': "
