@@ -244,7 +244,7 @@ def run_point(
     """Evaluate one parameter point, solving each drive side independently.
 
     With ``convergence_check`` the point is re-solved with one extra Fock
-    level per mode and the relative drifts of T and g2 are recorded.  With
+    level per mode and the relative drifts of T, g2 and g3 are recorded.  With
     ``strict`` any failure raises :class:`PointEvaluationError` naming the
     failing direction; otherwise failures become error flags on the result.
     """
@@ -272,9 +272,11 @@ def run_point(
         except TriringError as exc:
             resolve_notes.append(f"convergence re-solve failed ({suffix}): {exc}")
             continue
-        fields[f"drift_t_{suffix}"] = _relative_drift(values["t"], refined["t"])
-        if values["g2"] is not None and refined["g2"] is not None:
-            fields[f"drift_g2_{suffix}"] = _relative_drift(values["g2"], refined["g2"])
+        # a drift only where both solves define the value (g2 and g3 are
+        # None where the output mode is nearly empty)
+        for stem in ("t", "g2", "g3"):
+            if values[stem] is not None and refined[stem] is not None:
+                fields[f"drift_{stem}_{suffix}"] = _relative_drift(values[stem], refined[stem])
 
     notes = []
     if fields.get("t_fwd") is not None and fields.get("t_bwd") is not None:
@@ -395,7 +397,10 @@ def _value_columns(dims: tuple[int, ...], convergence_check: bool) -> list[str]:
         *(f"p{m}_bwd" for m in range(min(P_M_MAX, dims[MODE_A]))),
     ]
     if convergence_check:
-        cols += ["drift_t_fwd", "drift_t_bwd", "drift_g2_fwd", "drift_g2_bwd"]
+        cols += [
+            "drift_t_fwd", "drift_t_bwd", "drift_g2_fwd", "drift_g2_bwd",
+            "drift_g3_fwd", "drift_g3_bwd",
+        ]
     return cols
 
 
@@ -994,23 +999,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_point.add_argument("--out", help="write to file instead of stdout")
     p_point.set_defaults(func=_cmd_point)
 
-    p_sweep = sub.add_parser("sweep", help="run a 1D/2D parameter sweep")
+    # the options sweep and scenario share; point's --format and --out differ
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--jobs", type=int, default=1,
+                      help="worker processes (default: 1)")
+    grid.add_argument("--dims", type=int, help="per-mode Fock truncation override")
+    grid.add_argument("--format", choices=("csv", "json", "both"), default="both")
+    grid.add_argument("--out", default=".", help="output directory")
+
+    p_sweep = sub.add_parser("sweep", parents=[grid], help="run a 1D/2D parameter sweep")
     p_sweep.add_argument("spec", help="JSON sweep spec")
-    p_sweep.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: available parallelism)")
-    p_sweep.add_argument("--dims", type=int, help="per-mode Fock truncation override")
-    p_sweep.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_scen = sub.add_parser("scenario", help="emit data for named scenarios")
+    p_scen = sub.add_parser("scenario", parents=[grid], help="emit data for named scenarios")
     p_scen.add_argument("names", nargs="+", choices=SCENARIO_NAMES, metavar="name",
                         help=f"one or more of: {', '.join(SCENARIO_NAMES)}")
-    p_scen.add_argument("--out", default=".", help="output directory")
-    p_scen.add_argument("--dims", type=int, help="per-mode Fock truncation override")
-    p_scen.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: available parallelism)")
-    p_scen.add_argument("--format", choices=("csv", "json", "both"), default="both")
     p_scen.set_defaults(func=_cmd_scenario)
 
     p_val = sub.add_parser("validate", help="validate a config document")

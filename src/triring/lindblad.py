@@ -399,11 +399,13 @@ def _constrained_system(liouv: Superoperator):
     that dependency in place and the constrained system singular.  Among
     the eligible rows the one with the largest diagonal magnitude is
     swapped for the trace functional.  A is applied as L x with entry k
-    overwritten by the trace row's product, both sparse products, so it
-    gives the same bits as the matrix with row k replaced and holds no
-    second copy of L.
+    overwritten by the sum of x over the diagonal positions, so it holds no
+    second copy of L.  For finite x that entry has the same bits as the
+    matrix with row k replaced: a sparse row product adds the entries in
+    index order to a zero accumulator, as the running sum plus 0 does (the
+    0 turns an all-negative-zero sum into +0).  The built-in ``sum`` would
+    not do: from Python 3.12 on it compensates float sums.
     """
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     d = liouv.space.dim
@@ -411,14 +413,10 @@ def _constrained_system(liouv: Superoperator):
     matrix = liouv.data.tocsr()
     diag_positions = np.arange(d) * (d + 1)
     k = int(diag_positions[np.argmax(np.abs(matrix.diagonal()[diag_positions]))])
-    trace_row = sp.csr_matrix(
-        (np.ones(d, dtype=complex), (np.zeros(d, dtype=int), diag_positions)),
-        shape=(1, n),
-    )
 
     def apply(x):
         y = matrix @ x
-        y[k] = (trace_row @ x)[0]
+        y[k] = np.add.accumulate(x[diag_positions])[-1] + 0
         return y
 
     constrained = spla.LinearOperator((n, n), matvec=apply, dtype=complex)
@@ -435,12 +433,16 @@ def _no_jump_preconditioner(liouv: Superoperator):
     dense D x D products: rho = V [ (V^-1 B V^-dag) / (-i (lam_i -
     conj(lam_j))) ] V'.  Near-zero denominators (undamped pairs) are
     clamped, which only weakens the preconditioner, never the solution.
-    Returns None when no usable decomposition exists.
+    Raises ``NoConvergenceError`` naming the preconditioner step when the
+    generator carries no H and collapse operators, or when H_eff has no
+    usable eigendecomposition.
     """
     import scipy.sparse.linalg as spla
 
     if liouv.components is None:
-        return None
+        raise _no_convergence(
+            liouv.dim, "preconditioner (the generator carries no H and collapse operators)"
+        )
     hamiltonian, c_ops = liouv.components
     d = liouv.space.dim
     heff = hamiltonian.data.astype(complex, copy=True)
@@ -449,10 +451,15 @@ def _no_jump_preconditioner(liouv: Superoperator):
     try:
         lam, v = np.linalg.eig(heff)
         v_inv = np.linalg.inv(v)
-    except np.linalg.LinAlgError:
-        return None
-    if np.linalg.cond(v) > 1e8:
-        return None
+    except np.linalg.LinAlgError as exc:
+        raise _no_convergence(
+            liouv.dim, f"preconditioner (eigendecomposition of H_eff failed: {exc})"
+        ) from exc
+    cond = np.linalg.cond(v)
+    if cond > 1e8:
+        raise _no_convergence(
+            liouv.dim, f"preconditioner (eigenvectors of H_eff have cond {cond:.1e} > 1e8)"
+        )
     denom = -1j * (lam[:, None] - lam[None, :].conj())
     floor = 1e-6 * max(float(np.abs(denom).max()), 1.0)
     small = np.abs(denom) < floor
@@ -529,8 +536,6 @@ def _gmres_refined(constrained, rhs, preconditioner):
 def _solve_trace_constrained(liouv: Superoperator, opts: SteadyStateOptions) -> DensityMatrix:
     constrained, rhs = _constrained_system(liouv)
     preconditioner = _no_jump_preconditioner(liouv)
-    if preconditioner is None:
-        raise _no_convergence(liouv.dim, "preconditioner (no usable eigendecomposition of H_eff)")
     x = _gmres_refined(constrained, rhs, preconditioner)
     try:
         return _finalize(liouv, x, opts, SteadyStateMethod.TRACE_CONSTRAINED.value)

@@ -178,6 +178,8 @@ class PointResult:
     drift_t_bwd: float | None = None
     drift_g2_fwd: float | None = None
     drift_g2_bwd: float | None = None
+    drift_g3_fwd: float | None = None
+    drift_g3_bwd: float | None = None
     error_fwd: str | None = None
     error_bwd: str | None = None
     notes: str | None = None

@@ -138,6 +138,19 @@ class TestRunPoint:
         )
         assert result.drift_t_fwd is not None and result.drift_t_fwd < 0.02
         assert result.drift_g2_fwd is not None
+        assert result.drift_g3_fwd is not None
+
+    def test_convergence_check_skips_undefined_correlations(self):
+        # so weak a drive leaves the output mode below the population floor:
+        # T is defined, g2 and g3 are not
+        result = run_point(
+            two_cavity_params(omega=1e-7), dims=(3, 1, 3), convergence_check=True,
+            strict=False,
+        )
+        assert result.error_fwd is not None and result.error_bwd is not None
+        assert result.drift_t_fwd is not None and result.drift_t_bwd is not None
+        for name in ("drift_g2_fwd", "drift_g2_bwd", "drift_g3_fwd", "drift_g3_bwd"):
+            assert getattr(result, name) is None
 
     def test_gmres_failure_in_one_direction_flagged(self, monkeypatch, fig2_point_444):
         gmres = spla.gmres
@@ -225,6 +238,7 @@ class TestPointRecord:
             fields.update({f"{stem}_{suffix}": value for stem, value in coarse.items()})
             fields[f"drift_t_{suffix}"] = drift(coarse["t"], fine["t"])
             fields[f"drift_g2_{suffix}"] = drift(coarse["g2"], fine["g2"])
+            fields[f"drift_g3_{suffix}"] = drift(coarse["g3"], fine["g3"])
         fields["isolation"] = isolation(fields["t_fwd"], fields["t_bwd"])
         fields["ratio"] = nonreciprocal_ratio(fields["g2_fwd"], fields["g2_bwd"])
         result = run_point(params, dims=(3, 3, 3), convergence_check=True)
@@ -249,6 +263,7 @@ class TestPointRecord:
         fine = composed_side(params, DriveSide.LEFT, (3, 3, 3))
         fields["drift_t_fwd"] = drift(fields["t_fwd"], fine["t"])
         fields["drift_g2_fwd"] = drift(fields["g2_fwd"], fine["g2"])
+        fields["drift_g3_fwd"] = drift(fields["g3_fwd"], fine["g3"])
         fields["isolation"] = isolation(fields["t_fwd"], fields["t_bwd"])
         assert fields["g2_fwd"] == fields["g2_bwd"] == 0.0
         with pytest.raises(UndefinedRatioError) as ratio_exc:
@@ -626,6 +641,24 @@ class TestCommandLine:
         assert main(["sweep", str(spec), "--out", str(tmp_path), "--jobs", "1"]) == 0
         assert (tmp_path / "cli_demo.csv").exists()
         assert (tmp_path / "cli_demo_manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [["sweep", "spec.json"], ["scenario", "fig2a"]])
+    def test_jobs_defaults_to_one(self, argv):
+        assert cli.build_parser().parse_args(argv).jobs == 1
+
+    def test_sweep_command_runs_serially_by_default(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the sweep built a process pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "axes": [{"name": "delta", "start": -1, "stop": 1, "count": 3}],
+            "fixed": {"omega": 0.1, "j": 0.7, "u": 5.0},
+            "dims": [3, 1, 3],
+        }))
+        assert main(["sweep", str(spec), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "sweep.csv").exists()
 
     def test_point_command_csv_stdout_matches_file(self, tmp_path, capsys):
         config = tmp_path / "point.json"

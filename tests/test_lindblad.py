@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -324,6 +325,57 @@ class TestConstrainedSystem:
         assert np.flatnonzero(rhs).tolist() == [k]
         self.assert_same_products(constrained, self.vstacked(liouv, k), seed=k)
 
+    @staticmethod
+    def diagonal_cases(d):
+        """Diagonal entries on which the sum's order or start shows in the bits."""
+        rng = np.random.default_rng(d)
+        zeros = rng.choice([0.0, -0.0], size=(2, d))
+        decades = 10.0 ** rng.integers(-250, 250, size=(2, d))
+        decades *= rng.choice([-1.0, 1.0], size=(2, d))
+        spread = rng.normal(size=(2, d)) * 10.0 ** rng.integers(-20, 20, size=(2, d))
+        spread[:, ::3] = zeros[:, ::3]
+        # large terms that cancel, so each small one is lost or kept by the order
+        cancelling = np.tile([1.0, 1e17, -1e17, 3.0], (2, d // 4 + 1))[:, :d]
+        return {
+            "negative zeros": np.full(d, complex(-0.0, -0.0)),
+            "signed zeros": zeros[0] + 1j * zeros[1],
+            "decades": decades[0] + 1j * decades[1],
+            "zeros among spread magnitudes": spread[0] + 1j * spread[1],
+            "cancelling": cancelling[0] + 1j * cancelling[1][::-1],
+        }
+
+    def test_trace_row_sums_in_index_order(self, fig2_params):
+        space = CompositeSpace((3, 3, 3))
+        h = build_hamiltonian(fig2_params, space)
+        liouv = build_liouvillian(h, collapse_operators(fig2_params, space))
+        constrained, rhs = lindblad._constrained_system(liouv)
+        (k,) = np.flatnonzero(rhs)
+        matrix = self.vstacked(liouv, k)
+        d = space.dim
+        diag_positions = np.arange(d) * (d + 1)
+        reorderings = {
+            "no zero start": lambda v: np.add.accumulate(v)[-1],
+            "reversed": lambda v: np.add.accumulate(v[::-1])[-1] + 0,
+            "pairwise": np.sum,
+            "compensated": lambda v: complex(math.fsum(v.real), math.fsum(v.imag)),
+        }
+        told_apart = set()
+        rng = np.random.default_rng(1)
+        for name, diagonal in self.diagonal_cases(d).items():
+            x = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+            x[diag_positions] = diagonal
+            for shape in [(d * d,), (d * d, 1)]:
+                got = constrained @ x.reshape(shape)
+                want = matrix @ x.reshape(shape)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+            bits = np.complex128(want[k]).tobytes()
+            told_apart |= {
+                other for other, total in reorderings.items()
+                if np.complex128(total(diagonal)).tobytes() != bits
+            }
+        # every other order or start of the sum gives other bits on some case
+        assert told_apart == set(reorderings)
+
     def test_ring_model_solve_matches_vstack(self, fig2_params):
         space = CompositeSpace((3, 3, 3))
         h = build_hamiltonian(fig2_params, space)
@@ -450,15 +502,22 @@ class TestSteadyStateFailures:
         yield
         assert calls == []
 
-    def test_preconditioner_unavailable(self, monkeypatch):
+    @staticmethod
+    def assert_preconditioner_failure(liouv, reason):
+        """The solve stops at the preconditioner and points to the null-space
+        method, which solves the same generator."""
+        with pytest.raises(NoConvergenceError, match="at the preconditioner") as exc:
+            steady_state(liouv)
+        assert reason in str(exc.value)
+        assert str(exc.value).endswith("try the null-space method")
+        steady_state(liouv, SteadyStateOptions(method=SteadyStateMethod.NULL_SPACE))
+
+    def test_preconditioner_unavailable(self):
         liouv = driven_cavity()
         bare = Superoperator(liouv.space, liouv.data)  # no (H, C_k) to build H_eff from
-        with pytest.raises(NoConvergenceError, match="at the preconditioner") as exc:
-            steady_state(bare)
-        assert str(exc.value).endswith("try the null-space method")
-        monkeypatch.setattr(np.linalg, "cond", lambda v: 1e9)  # ill-conditioned V
-        with pytest.raises(NoConvergenceError, match="at the preconditioner"):
-            steady_state(liouv)
+        self.assert_preconditioner_failure(
+            bare, "the generator carries no H and collapse operators"
+        )
 
     @pytest.mark.parametrize("info, fill, shown", [
         (1, 0.0, r"info=1, finite=True"),
@@ -489,9 +548,23 @@ class TestSteadyStateFailures:
         def fail(matrix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        # the null-space method that the message points to needs no eig
         monkeypatch.setattr(np.linalg, "eig", fail)
-        with pytest.raises(NoConvergenceError, match="at the preconditioner"):
-            steady_state(driven_cavity())
+        self.assert_preconditioner_failure(
+            driven_cavity(), "eigendecomposition of H_eff failed: Eigenvalues did not converge"
+        )
+
+    def test_ill_conditioned_eigenvectors(self):
+        # H_eff = [[-i/2, -i], [0, -i/2]] is a Jordan block, an exceptional
+        # point of the lossy two-level system: its eigenvectors coincide
+        space = CompositeSpace((2,))
+        h = Operator(space, [[0, -0.5j], [0.5j, 0]])
+        c = Operator(space, [[1, 1], [0, 0]])
+        heff = h.data - 0.5j * (c.data.conj().T @ c.data)
+        assert np.array_equal(heff, [[-0.5j, -1j], [0, -0.5j]])
+        self.assert_preconditioner_failure(
+            build_liouvillian(h, [c]), "eigenvectors of H_eff have cond"
+        )
 
     def test_operator_type_error_propagates_from_one_gmres_call(self, monkeypatch):
         def broken(x):
