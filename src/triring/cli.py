@@ -97,11 +97,7 @@ P_M_MAX = 5
 # parameter construction
 
 
-_PARAM_KEYS = {
-    "delta_a", "delta_c", "delta_b", "u_a", "u_c",
-    "j_ab", "j_bc", "j_ac", "theta", "omega", "drive",
-    "kappa_a", "kappa_c", "kappa_b",
-}
+_PARAM_KEYS = {f.name for f in dataclasses.fields(SystemParams)}
 _SHORTHAND = {
     "delta": ("delta_a", "delta_c", "delta_b"),
     "u": ("u_a", "u_c"),
@@ -125,12 +121,7 @@ def params_from_dict(doc: dict) -> SystemParams:
             for target in _SHORTHAND[key]:
                 fields[target] = _finite_float(value, f"parameter {key!r}", ConfigError)
         elif key == "drive":
-            try:
-                fields["drive"] = DriveSide(str(value).lower())
-            except ValueError:
-                raise ConfigError(
-                    f"drive must be 'left' or 'right', got {value!r}"
-                ) from None
+            fields[key] = value  # SystemParams checks it
         elif key in _PARAM_KEYS:
             fields[key] = _finite_float(value, f"parameter {key!r}", ConfigError)
         else:
@@ -224,8 +215,10 @@ def _solve_direction(params: SystemParams, dims: tuple[int, ...]) -> dict:
         "error": None,
     }
     try:
-        values["g2"] = correlation_g_n(rho, out_mode, 2)
-        values["g3"] = correlation_g_n(rho, out_mode, 3)
+        # with n or fewer levels a^n = 0 and g<n> reads 0 whatever the state
+        for n in (2, 3):
+            if dims[out_mode] > n:
+                values[f"g{n}"] = correlation_g_n(rho, out_mode, n)
     except InsufficientPopulationError as exc:
         values["error"] = str(exc)
     return values
@@ -273,7 +266,7 @@ def run_point(
             resolve_notes.append(f"convergence re-solve failed ({suffix}): {exc}")
             continue
         # a drift only where both solves define the value (g2 and g3 are
-        # None where the output mode is nearly empty)
+        # None where the output mode is nearly empty or has too few levels)
         for stem in ("t", "g2", "g3"):
             if values[stem] is not None and refined[stem] is not None:
                 fields[f"drift_{stem}_{suffix}"] = _relative_drift(values[stem], refined[stem])
@@ -365,11 +358,13 @@ class SweepSpec:
         if self.outputs is not None:
             allowed = set(_value_columns(self.dims, self.convergence_check))
             unknown = [c for c in self.outputs if c not in allowed]
-            truncated = [c for c in unknown if c in _value_columns((P_M_MAX,) * 3, False)]
+            untruncated = _value_columns((P_M_MAX,) * 3, self.convergence_check)
+            truncated = [c for c in unknown if c in untruncated]
             if truncated:
                 raise ConfigError(
                     f"output columns {truncated} do not exist at dims {self.dims}: "
-                    "p<m>_fwd needs dims[c] > m and p<m>_bwd needs dims[a] > m"
+                    "p<m>_fwd and g<m>_fwd need dims[c] > m, p<m>_bwd and "
+                    "g<m>_bwd need dims[a] > m"
                 )
             if unknown:
                 raise ConfigError(
@@ -389,18 +384,17 @@ class SweepSpec:
 
 
 def _value_columns(dims: tuple[int, ...], convergence_check: bool) -> list[str]:
+    # the truncation rule: p<m> needs more than m levels on the output mode
+    # and g<n> more than n, dims[c] for the forward side and dims[a] backward
+    levels = {"fwd": dims[MODE_C], "bwd": dims[MODE_A]}
+    g_cols = [f"g{n}_{side}" for n in (2, 3) for side in levels if levels[side] > n]
     cols = [
-        "t_fwd", "t_bwd", "isolation",
-        "g2_fwd", "g2_bwd", "g3_fwd", "g3_bwd", "ratio",
+        "t_fwd", "t_bwd", "isolation", *g_cols, "ratio",
         "n_a_fwd", "n_b_fwd", "n_c_fwd", "n_a_bwd", "n_b_bwd", "n_c_bwd",
-        *(f"p{m}_fwd" for m in range(min(P_M_MAX, dims[MODE_C]))),
-        *(f"p{m}_bwd" for m in range(min(P_M_MAX, dims[MODE_A]))),
+        *(f"p{m}_{side}" for side in levels for m in range(min(P_M_MAX, levels[side]))),
     ]
     if convergence_check:
-        cols += [
-            "drift_t_fwd", "drift_t_bwd", "drift_g2_fwd", "drift_g2_bwd",
-            "drift_g3_fwd", "drift_g3_bwd",
-        ]
+        cols += ["drift_t_fwd", "drift_t_bwd", *(f"drift_{c}" for c in g_cols)]
     return cols
 
 

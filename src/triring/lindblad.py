@@ -9,14 +9,14 @@ generator of d vec(rho)/dt = L vec(rho) is
                   - 1/2 I kron (C_k' C_k)
                   - 1/2 (C_k' C_k)^T kron I ].
 
-``build_liouvillian`` returns, bit for bit, what scipy's sparse sum of
-these terms gives in this order (the H part, then each C_k's three terms
-in list order), entries that end exactly zero dropped.  It replays that
-sum in one vectorized numpy pass on the union of the terms' positions.
-The union depends only on D and the sparsity patterns of H, C_k and
-C_k'C_k, so it is kept for the two patterns last used at each of the two
-sizes D last used: the two drive sides of a sweep point, and of its
-re-solve one Fock level up when the convergence check runs.
+``build_liouvillian`` adds these terms, each scaled, in this order (the H
+part, then each C_k's three terms in list order) entry by entry from zero,
+in one vectorized numpy pass on the union of the terms' positions, and
+drops the entries that end exactly zero.  The union depends only on D and
+the sparsity patterns of H, C_k and C_k'C_k, so it is kept for the two
+patterns last used at each of the two sizes D last used: the two drive
+sides of a sweep point, and of its re-solve one Fock level up when the
+convergence check runs.
 
 The default steady-state solver replaces one Liouvillian row by the trace
 functional and solves the resulting nonsingular sparse system with GMRES,
@@ -220,13 +220,13 @@ def _kron_values(a, b) -> np.ndarray:
     return (x.repeat(len(y)).reshape(len(x), len(y)) * y).ravel()
 
 
-def _union_structure(n: int, factors: list) -> tuple:
+def _union_structure(n: int, terms: list) -> tuple:
     """CSR indptr/indices of the union of the kron(A, B) patterns, and where
     each product of each term lands in it (int32, in scipy's kron order)."""
-    sizes = [a.nnz * b.nnz for a, b in factors]
+    sizes = [a.nnz * b.nnz for a, b, _ in terms]
     stops = np.cumsum(sizes, dtype=np.int64)
     keys = np.empty(int(stops[-1]), dtype=np.int64)
-    for (a, b), stop, size in zip(factors, stops, sizes):
+    for (a, b, _), stop, size in zip(terms, stops, sizes):
         a, b = a.tocoo(), b.tocoo()
         d = b.shape[0]
         key = a.row.astype(np.int64)[:, None] * d + b.row
@@ -248,12 +248,12 @@ def _union_structure(n: int, factors: list) -> tuple:
     return indptr.astype(np.int32), (keys % n).astype(np.int32), np.split(where, stops[:-1])
 
 
-def _structure(n: int, factors: list, patterns: list) -> tuple:
-    """The union structure for these factor patterns, cached or built."""
-    key = (n, *(a.tobytes() for m in patterns for a in (m.indptr, m.indices)))
+def _structure(n: int, terms: list) -> tuple:
+    """The union structure for these terms' factor patterns, cached or built."""
+    key = (n, *(p.tobytes() for a, b, _ in terms for m in (a, b) for p in (m.indptr, m.indices)))
     entry = next((e for e in _STRUCTURES if e[0] == key), None)
     if entry is None:
-        entry = (key, *_union_structure(n, factors))
+        entry = (key, *_union_structure(n, terms))
     by_size: dict[int, list] = {}
     for e in (entry, *(e for e in _STRUCTURES if e is not entry)):
         by_size.setdefault(e[0][0], []).append(e)
@@ -263,31 +263,31 @@ def _structure(n: int, factors: list, patterns: list) -> tuple:
     return entry[1:]
 
 
-def _store(values: np.ndarray, positions: np.ndarray, new: np.ndarray) -> None:
-    new[new == 0] = 0  # scipy drops the entry; absent entries read +0
-    values[positions] = new
-
-
 def build_liouvillian(hamiltonian: Operator, c_ops: list[Operator]) -> Superoperator:
     """Assemble the sparse Lindblad generator from H and collapse operators.
 
-    The entries are those of the scipy sum
+    L is the sum of these scaled Kronecker terms, added entry by entry from
+    zero in this order:
 
-        L = -1j * (kron(I, H) - kron(H^T, I))
+        -1j kron(I, H),  +1j kron(H^T, I),
         then for each C in list order:
-          L = L + kron(conj(C), C) - 0.5 kron(I, C'C) - 0.5 kron((C'C)^T, I)
+          kron(conj(C), C),  -0.5 kron(I, C'C),  -0.5 kron((C'C)^T, I)
 
-    bit for bit, including which entries end exactly zero and are dropped:
-    each kron term is formed as scipy's kron forms it, C'C with the same
-    sparse product, and each step of the sum is replayed in numpy on the
-    union of all the terms' positions, with scipy's rule for an entry that
-    only one operand stores (``a + 0``, ``0 - b``, ...).  That union
-    depends only on D and the sparsity patterns of H, C and C'C, which a
-    sweep does not change; it is computed on a cache miss (about as long as
-    the scipy sum) and kept for the two patterns last used at each of the
-    two sizes D last used: the two drive sides of a point, and of its
-    convergence re-solve at dims + 1.  The returned matrix owns copies of
-    the cached arrays.
+    with entries that end exactly zero dropped.  Each term is formed as
+    scipy's kron forms it, C'C with scipy's sparse product.  The order is
+    part of the contract: on the ring model's operators the result equals,
+    bit for bit, scipy's chain ``-1j * (kron(I, H) - kron(H^T, I))``, then
+    ``+ kron(conj(C), C) - 0.5 kron(I, C'C) - 0.5 kron((C'C)^T, I)`` per C.
+    On other operators it has that chain's structure and nonzero
+    components, but a component that ends exactly zero may differ in sign.
+
+    The terms are added on the union of their positions, which depends only
+    on D and the sparsity patterns of H, C and C'C; a sweep does not change
+    them.  The union is computed on a cache miss (about as long as scipy's
+    chain) and kept for the two patterns last used at each of the two sizes
+    D last used: the two drive sides of a point, and of its convergence
+    re-solve at dims + 1.  The returned matrix owns copies of the cached
+    arrays.
     """
     import scipy.sparse as sp
 
@@ -302,32 +302,17 @@ def build_liouvillian(hamiltonian: Operator, c_ops: list[Operator]) -> Superoper
     n = d * d
     eye = sp.identity(d, format="csr", dtype=complex)
     h = sp.csr_matrix(hamiltonian.data)
-    factors = [(eye, h), (h.T, eye)]
-    patterns = [h]
+    terms = [(eye, h, -1j), (h.T, eye, 1j)]
     for op in c_ops:
         c = sp.csr_matrix(op.data)
         cdc = (c.conj().T @ c).tocsr()
-        factors += [(c.conj(), c), (eye, cdc), (cdc.T, eye)]
-        patterns += [c, cdc]
-    indptr, indices, positions = _structure(n, factors, patterns)
+        terms += [(c.conj(), c, 1), (eye, cdc, -0.5), (cdc.T, eye, -0.5)]
+    indptr, indices, positions = _structure(n, terms)
 
-    # absent entries are +0 throughout, present ones nonzero, as in scipy's
-    # canonical CSR sums, which drop every entry that ends exactly zero;
     # each term is formed only when it is added, to bound the memory held
     values = np.zeros(len(indices), dtype=complex)
-    values[positions[0]] = _kron_values(*factors[0])
-    values[positions[1]] -= _kron_values(*factors[1])
-    values *= -1j
-    values[values == 0] = 0  # the product turns an absent +0 into (+0, -0)
-    for k in range(2, len(factors), 3):
-        # + kron(conj(C), C): a + b on the term's entries, a + 0 elsewhere
-        jump = values[positions[k]] + _kron_values(*factors[k])
-        values += 0
-        _store(values, positions[k], jump)
-        # - 0.5 kron(...): a - b on the term's entries, a - 0 = a elsewhere
-        for j in (k + 1, k + 2):
-            half = _kron_values(*factors[j]) * 0.5
-            _store(values, positions[j], values[positions[j]] - half)
+    for (a, b, scale), where in zip(terms, positions):
+        values[where] += scale * _kron_values(a, b)
     keep = values != 0
     if keep.all():
         indptr, indices = indptr.copy(), indices.copy()

@@ -152,7 +152,8 @@ class PointResult:
 
     ``fwd`` quantities are for drive left (output mode c), ``bwd`` for
     drive right (output mode a).  Fields are None when a direction was not
-    requested or failed; failures are described in ``error_fwd`` /
+    requested or failed, and g<n> is None unless the output mode has more
+    than n levels; failures are described in ``error_fwd`` /
     ``error_bwd`` and never replaced by fabricated values.
     """
 

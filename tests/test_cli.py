@@ -32,7 +32,9 @@ from triring import (
     steady_state,
     transmission,
 )
-from triring.errors import ConfigError, NoConvergenceError, SweepCapError, UndefinedRatioError
+from triring.errors import (
+    ConfigError, InvalidRateError, NoConvergenceError, SweepCapError, UndefinedRatioError,
+)
 from triring.cli import (
     Axis,
     SweepSpec,
@@ -66,12 +68,21 @@ class TestParamsParsing:
         assert params.drive is DriveSide.RIGHT
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown parameter"):
+        # the keys are SystemParams' fields plus the shorthands
+        allowed = sorted([f.name for f in dataclasses.fields(SystemParams)] + ["delta", "u", "j", "kappa"])
+        with pytest.raises(ConfigError) as exc:
             params_from_dict({"delta_q": 1.0})
+        assert str(exc.value) == f"unknown parameter 'delta_q'; allowed: {allowed}"
 
     def test_bad_drive(self):
-        with pytest.raises(ConfigError, match="drive"):
-            params_from_dict({"drive": "up"})
+        # the rule SystemParams applies: a DriveSide or its exact value
+        for drive in ("up", "LEFT", None, ["left"]):
+            with pytest.raises(InvalidRateError) as direct:
+                SystemParams(drive=drive)
+            with pytest.raises(ConfigError) as parsed:
+                params_from_dict({"drive": drive})
+            assert str(parsed.value) == f"invalid parameters: {direct.value}"
+
 
     def test_invalid_physics_reported_as_config_error(self):
         with pytest.raises(ConfigError, match="invalid parameters"):
@@ -133,12 +144,20 @@ class TestRunPoint:
         assert result.t_bwd is None and result.isolation is None
 
     def test_convergence_check_records_drift(self):
+        # four levels on the output modes, the fewest that define g3
         result = run_point(
-            two_cavity_params(), dims=(3, 1, 3), convergence_check=True
+            two_cavity_params(), dims=(4, 1, 4), convergence_check=True
         )
         assert result.drift_t_fwd is not None and result.drift_t_fwd < 0.02
         assert result.drift_g2_fwd is not None
         assert result.drift_g3_fwd is not None
+        # three define g2 but not g3, so g3 has no drift either
+        result = run_point(
+            two_cavity_params(), dims=(3, 1, 3), convergence_check=True
+        )
+        assert result.drift_g2_fwd is not None and result.drift_g2_bwd is not None
+        assert result.g3_fwd is None and result.drift_g3_fwd is None
+        assert result.g3_bwd is None and result.drift_g3_bwd is None
 
     def test_convergence_check_skips_undefined_correlations(self):
         # so weak a drive leaves the output mode below the population floor:
@@ -201,10 +220,12 @@ def composed_side(params, side, dims):
         build_liouvillian(build_hamiltonian(params, space), collapse_operators(params, space))
     )
     out_mode = MODE_C if side is DriveSide.LEFT else MODE_A
+    # g<n> is defined with more than n levels on the output mode
+    levels = dims[out_mode]
     return {
         "t": transmission(rho, params),
-        "g2": correlation_g_n(rho, out_mode, 2),
-        "g3": correlation_g_n(rho, out_mode, 3),
+        "g2": correlation_g_n(rho, out_mode, 2) if levels > 2 else None,
+        "g3": correlation_g_n(rho, out_mode, 3) if levels > 3 else None,
         "p_m": tuple(float(p) for p in photon_distribution(rho, out_mode)[:5]),
         "n_a": mean_occupation(rho, MODE_A),
         "n_b": mean_occupation(rho, MODE_B),
@@ -238,41 +259,63 @@ class TestPointRecord:
             fields.update({f"{stem}_{suffix}": value for stem, value in coarse.items()})
             fields[f"drift_t_{suffix}"] = drift(coarse["t"], fine["t"])
             fields[f"drift_g2_{suffix}"] = drift(coarse["g2"], fine["g2"])
-            fields[f"drift_g3_{suffix}"] = drift(coarse["g3"], fine["g3"])
+            # three levels define no g3, so there is no g3 drift either
+            assert coarse["g3"] is None and fine["g3"] is not None
         fields["isolation"] = isolation(fields["t_fwd"], fields["t_bwd"])
         fields["ratio"] = nonreciprocal_ratio(fields["g2_fwd"], fields["g2_bwd"])
         result = run_point(params, dims=(3, 3, 3), convergence_check=True)
         assert vars(result) == vars(PointResult(**fields))
 
+    @pytest.mark.parametrize("dims, defined", [
+        ((2, 2, 2), set()),
+        ((3, 3, 3), {"g2_fwd", "g2_bwd"}),
+        ((4, 3, 3), {"g2_fwd", "g2_bwd", "g3_bwd"}),
+        ((3, 3, 4), {"g2_fwd", "g2_bwd", "g3_fwd"}),
+        ((4, 3, 4), {"g2_fwd", "g2_bwd", "g3_fwd", "g3_bwd"}),
+    ])
+    def test_correlations_follow_the_truncation_rule(self, dims, defined):
+        # g<n> reads 0 identically with n or fewer levels on the output mode
+        result = run_point(baseline_params(), dims=dims)
+        for name in ("g2_fwd", "g2_bwd", "g3_fwd", "g3_bwd"):
+            value = getattr(result, name)
+            assert (value is not None) == (name in defined), name
+            assert value is None or value > 0
+        assert (result.ratio is not None) == ({"g2_fwd", "g2_bwd"} <= defined)
+
     def test_failed_re_solve_note_follows_the_ratio_note(self, monkeypatch):
-        # at two levels per mode g2 = 0 exactly in both directions, so the
-        # ratio is undefined; the backward re-solve at (3, 3, 3) is made to fail
+        # the ratio is made undefined and the backward re-solve at (4, 4, 4)
+        # is made to fail
         params = baseline_params()
         build = cli.build_hamiltonian
 
         def fail_backward_re_solve(p, space):
-            if p.drive is DriveSide.RIGHT and space.mode_dims == (3, 3, 3):
+            if p.drive is DriveSide.RIGHT and space.mode_dims == (4, 4, 4):
                 raise NoConvergenceError("forced re-solve failure")
             return build(p, space)
 
+        def undefined_ratio(g2_fwd, g2_bwd):
+            raise UndefinedRatioError("forced undefined ratio")
+
         monkeypatch.setattr(cli, "build_hamiltonian", fail_backward_re_solve)
+        monkeypatch.setattr(cli, "nonreciprocal_ratio", undefined_ratio)
         fields = {}
         for side, suffix in ((DriveSide.LEFT, "fwd"), (DriveSide.RIGHT, "bwd")):
-            coarse = composed_side(params, side, (2, 2, 2))
+            coarse = composed_side(params, side, (3, 3, 3))
             fields.update({f"{stem}_{suffix}": value for stem, value in coarse.items()})
-        fine = composed_side(params, DriveSide.LEFT, (3, 3, 3))
+        fine = composed_side(params, DriveSide.LEFT, (4, 4, 4))
         fields["drift_t_fwd"] = drift(fields["t_fwd"], fine["t"])
         fields["drift_g2_fwd"] = drift(fields["g2_fwd"], fine["g2"])
-        fields["drift_g3_fwd"] = drift(fields["g3_fwd"], fine["g3"])
         fields["isolation"] = isolation(fields["t_fwd"], fields["t_bwd"])
-        assert fields["g2_fwd"] == fields["g2_bwd"] == 0.0
-        with pytest.raises(UndefinedRatioError) as ratio_exc:
-            nonreciprocal_ratio(0.0, 0.0)
         fields["notes"] = (
-            f"{ratio_exc.value}; convergence re-solve failed (bwd): forced re-solve failure"
+            "forced undefined ratio; convergence re-solve failed (bwd): forced re-solve failure"
         )
-        result = run_point(params, dims=(2, 2, 2), convergence_check=True, strict=False)
+        result = run_point(params, dims=(3, 3, 3), convergence_check=True, strict=False)
         assert vars(result) == vars(PointResult(**fields))
+
+
+TRUNCATION_RULE = (
+    "p<m>_fwd and g<m>_fwd need dims[c] > m, p<m>_bwd and g<m>_bwd need dims[a] > m"
+)
 
 
 class TestSweepSpec:
@@ -334,8 +377,26 @@ class TestSweepSpec:
                 dims=dims, outputs=("t_fwd", "p3_fwd", "p3_bwd"),
             )
         assert str(exc.value) == (
-            f"output columns {missing} do not exist at dims {dims}: "
-            "p<m>_fwd needs dims[c] > m and p<m>_bwd needs dims[a] > m"
+            f"output columns {missing} do not exist at dims {dims}: " + TRUNCATION_RULE
+        )
+
+    @pytest.mark.parametrize("dims, convergence_check, missing", [
+        ((3, 3, 3), False, ["g3_fwd", "g3_bwd"]),
+        ((4, 3, 3), False, ["g3_fwd"]),
+        ((3, 3, 4), True, ["g3_bwd", "drift_g3_bwd"]),
+        ((2, 3, 4), False, ["g2_bwd", "g3_bwd"]),
+    ])
+    def test_truncated_g_columns_name_the_truncation(self, dims, convergence_check, missing):
+        outputs = ("t_fwd", "g2_fwd", "g2_bwd", "g3_fwd", "g3_bwd")
+        if convergence_check:
+            outputs += ("drift_g3_fwd", "drift_g3_bwd")
+        with pytest.raises(ConfigError) as exc:
+            SweepSpec(
+                axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(), dims=dims,
+                outputs=outputs, convergence_check=convergence_check,
+            )
+        assert str(exc.value) == (
+            f"output columns {missing} do not exist at dims {dims}: " + TRUNCATION_RULE
         )
 
     def test_axis_count_must_be_integral(self):
@@ -715,7 +776,16 @@ class TestCommandLine:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "['p3_fwd', 'p3_bwd'] do not exist at dims (3, 3, 3)" in err
-        assert "p<m>_fwd needs dims[c] > m and p<m>_bwd needs dims[a] > m" in err
+        assert TRUNCATION_RULE in err
+        assert not out.exists()
+
+    def test_fig3_below_its_truncation_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["scenario", "fig3", "--dims", "3", "--out", str(out), "--jobs", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "['g3_fwd', 'g3_bwd'] do not exist at dims (3, 3, 3)" in err
+        assert TRUNCATION_RULE in err
         assert not out.exists()
 
     def test_multi_name_scenario_checks_every_name_first(self, tmp_path, capsys):

@@ -110,7 +110,7 @@ class TestLiouvillian:
 
 
 def scipy_sum(hamiltonian, c_ops):
-    """The chain of scipy kron and add calls that build_liouvillian replays."""
+    """The chain of scipy kron and add calls build_liouvillian matches."""
     d = hamiltonian.space.dim
     eye = sp.identity(d, format="csr", dtype=complex)
     h = sp.csr_matrix(hamiltonian.data)
@@ -124,6 +124,27 @@ def scipy_sum(hamiltonian, c_ops):
     return liouv.tocsr()
 
 
+def ordered_sum(hamiltonian, c_ops):
+    """build_liouvillian's documented sum, formed densely: each scaled kron
+    term added in order, from zero, at the entries it stores, and entries
+    that end exactly zero dropped.  The terms are scipy's kron products: a
+    numpy complex product may round differently (a fused multiply-add) in
+    another loop, so how each term is formed is part of its bits."""
+    d = hamiltonian.space.dim
+    eye = sp.identity(d, format="csr", dtype=complex)
+    h = sp.csr_matrix(hamiltonian.data)
+    terms = [(eye, h, -1j), (h.T, eye, 1j)]
+    for op in c_ops:
+        c = sp.csr_matrix(op.data)
+        cdc = (c.conj().T @ c).tocsr()
+        terms += [(c.conj(), c, 1), (eye, cdc, -0.5), (cdc.T, eye, -0.5)]
+    total = np.zeros((d * d, d * d), dtype=complex)
+    for a, b, scale in terms:
+        term = sp.kron(a, b, format="coo")
+        total[term.row, term.col] += scale * term.data
+    return sp.csr_matrix(total)
+
+
 def assert_same_bits(got, want):
     assert type(got) is type(want)
     assert got.shape == want.shape
@@ -134,6 +155,28 @@ def assert_same_bits(got, want):
     # compared as bit patterns, so a -0.0 where scipy has +0.0 fails too
     assert got.data.dtype == want.data.dtype
     assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+def assert_same_up_to_zero_signs(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    # == compares -0.0 and +0.0 equal; every other bit pattern must match
+    assert np.array_equal(got.data, want.data)
+
+
+def assert_assembles(h, c_ops):
+    """An operator outside the ring model: the documented sum bit for bit,
+    scipy's chain up to the sign of a component that ends exactly zero."""
+    got = build_liouvillian(h, c_ops).data
+    assert_same_bits(got, ordered_sum(h, c_ops))
+    assert_same_up_to_zero_signs(got, scipy_sum(h, c_ops))
+
+
+def assert_ring_model_bits(params, dims):
+    space = CompositeSpace(dims)
+    h, c_ops = build_hamiltonian(params, space), collapse_operators(params, space)
+    assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
 
 
 def ring_model(dims, drive, kappa_b):
@@ -160,11 +203,27 @@ def random_operator(rng, space, density, entries=None):
     return Operator(space, m)
 
 
+def random_system_params(rng, dims):
+    """Ring-model parameters over the validated ranges; without a bridge
+    level the bridge couplings and loss vanish, as in two_cavity_params."""
+    bridge = dims[1] > 1
+    return SystemParams(
+        delta_a=rng.normal(), delta_c=rng.normal(), delta_b=rng.normal(),
+        u_a=rng.uniform(0.0, 10.0), u_c=rng.uniform(0.0, 10.0),
+        j_ab=rng.uniform(0.0, 2.0) * bridge, j_bc=rng.uniform(0.0, 2.0) * bridge,
+        j_ac=rng.uniform(0.0, 2.0), theta=rng.uniform(-math.pi, math.pi),
+        omega=rng.uniform(0.0, 0.5), drive=list(DriveSide)[rng.integers(2)],
+        kappa_a=rng.uniform(1.0, 3.0), kappa_c=rng.uniform(1.0, 3.0),
+        kappa_b=rng.choice([0.0, rng.uniform(0.1, 3.0)]) * bridge,
+    )
+
+
 SMALL_PARTS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0])
 
 
 class TestAssembly:
-    """build_liouvillian against the scipy sum it replays, bit for bit."""
+    """build_liouvillian against scipy's kron chain: bit for bit on the ring
+    model, up to the signs of zeros on other operators."""
 
     @pytest.mark.parametrize("kappa_b", [0.0, 1.7])
     @pytest.mark.parametrize("drive", list(DriveSide))
@@ -172,6 +231,25 @@ class TestAssembly:
     def test_ring_model(self, dims, drive, kappa_b):
         h, c_ops = ring_model(dims, drive, kappa_b)
         assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
+
+    # the shapes sweeps and scenarios assemble: the default 5^3 at the
+    # baseline working point, scenarios at 4^3 and two-cavity 4x1x4, and the
+    # convergence check's 6^3
+    @pytest.mark.parametrize("drive", list(DriveSide))
+    @pytest.mark.parametrize("params, dims", [
+        (baseline_params(), (5, 5, 5)),
+        (baseline_params(), (4, 4, 4)),
+        (two_cavity_params(), (4, 1, 4)),
+        (baseline_params(), (6, 6, 6)),
+    ], ids=["5^3", "4^3", "4x1x4", "6^3"])
+    def test_ring_model_at_traffic_shapes(self, params, dims, drive):
+        assert_ring_model_bits(dataclasses.replace(params, drive=drive), dims)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_ring_model_params(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = [(2, 2, 2), (3, 3, 3), (4, 4, 4), (3, 1, 3), (5, 1, 5), (2, 3, 4), (4, 3, 2)][seed % 7]
+        assert_ring_model_bits(random_system_params(rng, dims), dims)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_non_normal_operators(self, seed):
@@ -185,7 +263,7 @@ class TestAssembly:
             c[0, 0], c[0, -1] = 0.7 - 0.2j, 1.1 + 0.4j
             c_ops.append(Operator(space, c))
             assert not np.allclose(c @ c.conj().T, c.conj().T @ c)
-        assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
+        assert_assembles(h, c_ops)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_exact_cancellations_and_signed_zeros(self, seed):
@@ -196,7 +274,7 @@ class TestAssembly:
             random_operator(rng, space, rng.uniform(0.1, 0.8), SMALL_PARTS)
             for _ in range(rng.integers(1, 4))
         ]
-        assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
+        assert_assembles(h, c_ops)
 
     @pytest.mark.parametrize("h, c", [
         # an entry only a jump term stores, where scipy adds it to an exact +0
@@ -207,8 +285,20 @@ class TestAssembly:
     ])
     def test_signed_zero_cases(self, h, c):
         space = CompositeSpace((2,))
-        h, c_ops = Operator(space, h), [Operator(space, np.asarray(c))]
-        assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
+        assert_assembles(Operator(space, h), [Operator(space, np.asarray(c))])
+
+    def test_zero_sign_differs_from_scipy(self):
+        # H_22 = 0.5j lands on two entries only kron(I, H) stores: scipy's
+        # chain keeps the -0 imaginary part of (0.5j - 0) * -1j, the sum adds
+        # -1j * 0.5j to +0 and gives +0
+        space = CompositeSpace((3,))
+        h = Operator(space, [[0, 0, 0], [0, 0, 0], [1 - 0.5j, 0, 0.5j]])
+        assert_assembles(h, [])
+        got, want = build_liouvillian(h, []).data, scipy_sum(h, [])
+        differs = (got.data.view(np.int64) != want.data.view(np.int64)).reshape(-1, 2)
+        assert got.data[differs.any(axis=1)].tolist() == [0.5, 0.5]
+        assert not np.signbit(got.data.imag[differs.any(axis=1)]).any()
+        assert np.signbit(want.data.imag[differs.any(axis=1)]).all()
 
     @pytest.mark.parametrize("c_ops", [
         [number(4)],
@@ -219,7 +309,7 @@ class TestAssembly:
     def test_special_collapse_lists(self, c_ops):
         a = annihilation(4)
         h = 0.3 * number(4) + 0.1 * (a + a.dag())
-        assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
+        assert_assembles(h, c_ops)
 
     def test_two_patterns_cached_and_reused(self, monkeypatch):
         built = []
@@ -272,7 +362,7 @@ class TestAssembly:
         # without jumps, H_kk - H_kk cancels on the diagonal of L wherever H
         # has a diagonal entry, so the result is smaller than the union
         h = 0.3 * number(3) + a + a.dag() if zeros_dropped else a
-        want = scipy_sum(h, [])
+        want = ordered_sum(h, [])
         first = build_liouvillian(h, []).data
         assert_same_bits(first, want)
         assert (first.nnz < len(lindblad._STRUCTURES[0][2])) == zeros_dropped
