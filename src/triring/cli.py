@@ -152,9 +152,9 @@ def _config_int(value, what: str) -> int:
     return int(value)
 
 
-def _parse_dims(value, default=DEFAULT_DIMS) -> tuple[int, ...]:
+def _parse_dims(value) -> tuple[int, ...]:
     if value is None:
-        return tuple(default)
+        return DEFAULT_DIMS
     # any iterable but a string gives one entry per mode; a scalar, all three
     if isinstance(value, Iterable) and not isinstance(value, (str, bytes)):
         entries = tuple(value)
@@ -204,17 +204,15 @@ def _solve_direction(params: SystemParams, dims: tuple[int, ...]) -> dict:
     rho = steady_state(build_liouvillian(h, c_ops))
     out_mode = MODE_C if params.drive is DriveSide.LEFT else MODE_A
     values = {
-        "t": transmission(rho, params),
         "residual": rho.diagnostics.residual,
         "n_a": mean_occupation(rho, MODE_A),
-        "n_b": mean_occupation(rho, MODE_B) if dims[MODE_B] > 1 else 0.0,
+        "n_b": mean_occupation(rho, MODE_B),
         "n_c": mean_occupation(rho, MODE_C),
         "p_m": tuple(float(p) for p in photon_distribution(rho, out_mode)[:P_M_MAX]),
-        "g2": None,
-        "g3": None,
-        "error": None,
+        **dict.fromkeys(("t", "g2", "g3", "error")),
     }
     try:
+        values["t"] = transmission(rho, params)
         # with n or fewer levels a^n = 0 and g<n> reads 0 whatever the state
         for n in (2, 3):
             if dims[out_mode] > n:

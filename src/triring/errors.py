@@ -86,7 +86,7 @@ class UndefinedTransmissionError(TriringError, ValueError):
 
 
 class InsufficientPopulationError(TriringError, ValueError):
-    """A correlation function would divide by a (near-)zero occupation."""
+    """An occupation is below the population floor: T or g^(n) would read round-off."""
 
 
 class UndefinedRatioError(TriringError, ValueError):

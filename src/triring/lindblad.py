@@ -13,10 +13,8 @@ generator of d vec(rho)/dt = L vec(rho) is
 part, then each C_k's three terms in list order) entry by entry from zero,
 in one vectorized numpy pass on the union of the terms' positions, and
 drops the entries that end exactly zero.  The union depends only on D and
-the sparsity patterns of H, C_k and C_k'C_k, so it is kept for the two
-patterns last used at each of the two sizes D last used: the two drive
-sides of a sweep point, and of its re-solve one Fock level up when the
-convergence check runs.
+the sparsity patterns of H, C_k and C_k'C_k, so the four unions used last
+are kept in one least-recently-used cache.
 
 The default steady-state solver replaces one Liouvillian row by the trace
 functional and solves the resulting nonsingular sparse system with GMRES,
@@ -37,6 +35,8 @@ module attributes, so a patched attribute is the one that runs.
 from __future__ import annotations
 
 import functools
+import numbers
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -51,7 +51,7 @@ from .errors import (
     SpaceMismatchError,
     StepTooLargeError,
 )
-from .fock import CompositeSpace, Operator
+from .fock import CompositeSpace, Operator, _finite_float
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -91,8 +91,11 @@ class SteadyStateOptions:
     hermitize: bool = True
 
     def __post_init__(self):
-        if not (np.isfinite(self.residual_tol) and self.residual_tol > 0):
-            raise ValueError(f"residual_tol must be finite and > 0, got {self.residual_tol}")
+        tol = self.residual_tol
+        # nan and inf share the message of <= 0: each lets any candidate pass
+        if isinstance(tol, numbers.Real) and not 0 < tol < np.inf:
+            raise ValueError(f"residual_tol must be finite and > 0, got {tol}")
+        object.__setattr__(self, "residual_tol", _finite_float(tol, "residual_tol", ValueError))
 
 
 @dataclass
@@ -201,16 +204,10 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vector).reshape((dim, dim), order="F")
 
 
-# (key, indptr, indices, per-term positions) of the sparsity patterns
-# build_liouvillian assembled: the last two used at each of the last two
-# sizes D^2 (key[0]), grouped by size, most recent first.  The two drive
-# sides of a sweep point differ only in where the drive sits in H; the
-# convergence check re-solves each side at a second size.  A flat LRU of
-# four would instead keep stale patterns of one size resident (kappa_b = 0
-# drops a jump operator).
-_STRUCTURES: list[tuple] = []
-_STRUCTURE_SIZES = 2
-_STRUCTURE_SLOTS = 2
+# the union structures (indptr, indices, per-term positions) last used, keyed
+# by D^2 and the factor patterns, least recent first; four hold both drive
+# sides of a point at its dims and at the dims + 1 of its convergence re-solve
+_STRUCTURES: OrderedDict[tuple, tuple] = OrderedDict()
 
 
 def _kron_values(a, b) -> np.ndarray:
@@ -251,16 +248,15 @@ def _union_structure(n: int, terms: list) -> tuple:
 def _structure(n: int, terms: list) -> tuple:
     """The union structure for these terms' factor patterns, cached or built."""
     key = (n, *(p.tobytes() for a, b, _ in terms for m in (a, b) for p in (m.indptr, m.indices)))
-    entry = next((e for e in _STRUCTURES if e[0] == key), None)
+    # each step is one dict operation: a concurrent call may rebuild a
+    # structure another call has popped, but never sees a broken entry
+    entry = _STRUCTURES.pop(key, None)
     if entry is None:
-        entry = (key, *_union_structure(n, terms))
-    by_size: dict[int, list] = {}
-    for e in (entry, *(e for e in _STRUCTURES if e is not entry)):
-        by_size.setdefault(e[0][0], []).append(e)
-    groups = list(by_size.values())[:_STRUCTURE_SIZES]
-    # one assignment: a concurrent call may lose an entry, never break the list
-    _STRUCTURES[:] = [e for group in groups for e in group[:_STRUCTURE_SLOTS]]
-    return entry[1:]
+        entry = _union_structure(n, terms)
+    _STRUCTURES[key] = entry
+    while len(_STRUCTURES) > 4:
+        _STRUCTURES.popitem(last=False)
+    return entry
 
 
 def build_liouvillian(hamiltonian: Operator, c_ops: list[Operator]) -> Superoperator:
@@ -283,11 +279,9 @@ def build_liouvillian(hamiltonian: Operator, c_ops: list[Operator]) -> Superoper
 
     The terms are added on the union of their positions, which depends only
     on D and the sparsity patterns of H, C and C'C; a sweep does not change
-    them.  The union is computed on a cache miss (about as long as scipy's
-    chain) and kept for the two patterns last used at each of the two sizes
-    D last used: the two drive sides of a point, and of its convergence
-    re-solve at dims + 1.  The returned matrix owns copies of the cached
-    arrays.
+    them.  The four unions used last are kept in one least-recently-used
+    cache, and a miss costs about as long as scipy's chain.  The returned
+    matrix owns copies of the cached arrays.
     """
     import scipy.sparse as sp
 
@@ -582,6 +576,8 @@ def evolve(
     is renormalized whenever it drifts beyond 1e-12 in a step; a per-step
     drift above 1e-6 aborts with :class:`StepTooLargeError`.
     """
+    dt = _finite_float(dt, "dt", ValueError)
+    t_final = _finite_float(t_final, "t_final", ValueError)
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if t_final < dt:

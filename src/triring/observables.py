@@ -37,8 +37,15 @@ __all__ = [
     "nonreciprocal_ratio",
 ]
 
-# below this mean occupation the g^(n) quotient is numerically meaningless
+# below this mean occupation round-off swamps it: T and g^(n) read noise
 POPULATION_FLOOR = 1e-12
+
+
+def _check_floor(mean: float, mode: int, reading: str) -> None:
+    if mean < POPULATION_FLOOR:
+        raise InsufficientPopulationError(
+            f"mode {mode} occupation {mean:.3e} is below the floor {POPULATION_FLOOR:.0e}; {reading}"
+        )
 
 
 def expectation(rho: DensityMatrix, op: Operator) -> complex:
@@ -81,7 +88,8 @@ def transmission(rho: DensityMatrix, params: SystemParams) -> float:
     """Transmission coefficient for the steady state under ``params.drive``.
 
     Drive left: T = kappa_a kappa_c <n_c> / omega^2 (a -> c).
-    Drive right: same prefactor with <n_a> (c -> a).
+    Drive right: same prefactor with <n_a> (c -> a).  Below the population
+    floor it raises :class:`InsufficientPopulationError`.
     """
     if params.omega == 0:
         raise UndefinedTransmissionError(
@@ -89,6 +97,7 @@ def transmission(rho: DensityMatrix, params: SystemParams) -> float:
         )
     out_mode = MODE_C if params.drive is DriveSide.LEFT else MODE_A
     n_out = mean_occupation(rho, out_mode)
+    _check_floor(n_out, out_mode, "T would read round-off")
     return float(params.kappa_a * params.kappa_c * n_out / params.omega**2)
 
 
@@ -105,11 +114,7 @@ def correlation_g_n(rho: DensityMatrix, mode: int, n: int) -> float:
     p = photon_distribution(rho, mode)
     m = np.arange(p.size, dtype=float)
     mean = float(m @ p)
-    if mean < POPULATION_FLOOR:
-        raise InsufficientPopulationError(
-            f"mode {mode} occupation {mean:.3e} is below the floor {POPULATION_FLOOR:.0e}; "
-            f"g^({n}) would divide by ~0"
-        )
+    _check_floor(mean, mode, f"g^({n}) would divide by ~0")
     falling = np.ones_like(m)
     for k in range(n):
         falling = falling * (m - k)

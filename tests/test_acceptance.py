@@ -65,9 +65,17 @@ def test_criterion_1_linear_limit_matches_closed_form():
                 kappa_c=params.kappa_c, kappa_b=params.kappa_b,
             )
             t_fwd, t_bwd = transmission_closed_form(model, -delta)
-            assert close_rel(result.t_fwd, t_fwd, 1e-3), (delta, kappa_b)
-            assert close_rel(result.t_bwd, t_bwd, 1e-3), (delta, kappa_b)
-            for got, want in ((result.t_fwd, t_fwd), (result.t_bwd, t_bwd)):
+            for got, want, n_out, error in (
+                (result.t_fwd, t_fwd, result.n_c_fwd, result.error_fwd),
+                (result.t_bwd, t_bwd, result.n_a_bwd, result.error_bwd),
+            ):
+                if got is None:
+                    # an isolated output (delta = 0.5, kappa_b = 1) is below
+                    # the population floor, so T is flagged; the occupation
+                    # the record keeps still gives it, to compare
+                    assert "below the floor" in error, (delta, kappa_b)
+                    got = params.kappa_a * params.kappa_c * n_out / params.omega ** 2
+                assert close_rel(got, want, 1e-3), (delta, kappa_b)
                 if want > 1e-9:
                     worst = max(worst, abs(got - want) / want)
     assert report(

@@ -126,13 +126,13 @@ class TestRunPoint:
         assert result.t_fwd is None and result.t_bwd is None
 
     def test_insufficient_population_flagged_not_fatal(self):
-        # nothing couples into mode c, so its correlations are undefined but
-        # the transmission is still a perfectly good (zero) number
+        # nothing couples into mode c: its occupation is round-off, so T and
+        # the correlations are flagged, and the point still has a record
         params = SystemParams(omega=0.1, kappa_a=1.0, kappa_c=1.0)
         result = run_point(params, dims=(3, 1, 3), strict=False)
-        assert result.t_fwd == pytest.approx(0.0, abs=1e-12)
-        assert result.g2_fwd is None
-        assert "occupation" in result.error_fwd
+        assert result.t_fwd is None and result.g2_fwd is None
+        assert "occupation" in result.error_fwd and "T would read" in result.error_fwd
+        assert result.n_c_fwd < 1e-12
 
     def test_non_integral_dims_rejected(self):
         with pytest.raises(PointEvaluationError, match="whole numbers"):
@@ -160,16 +160,18 @@ class TestRunPoint:
         assert result.g3_bwd is None and result.drift_g3_bwd is None
 
     def test_convergence_check_skips_undefined_correlations(self):
-        # so weak a drive leaves the output mode below the population floor:
-        # T is defined, g2 and g3 are not
+        # so weak a drive leaves the output mode below the population floor
+        # (<n_out> ~ 1e-14, round-off): T, g2 and g3 are all undefined
         result = run_point(
             two_cavity_params(omega=1e-7), dims=(3, 1, 3), convergence_check=True,
             strict=False,
         )
         assert result.error_fwd is not None and result.error_bwd is not None
-        assert result.drift_t_fwd is not None and result.drift_t_bwd is not None
-        for name in ("drift_g2_fwd", "drift_g2_bwd", "drift_g3_fwd", "drift_g3_bwd"):
-            assert getattr(result, name) is None
+        assert result.t_fwd is None and result.t_bwd is None
+        assert result.isolation is None
+        for stem in ("t", "g2", "g3"):
+            assert getattr(result, f"drift_{stem}_fwd") is None
+            assert getattr(result, f"drift_{stem}_bwd") is None
 
     def test_gmres_failure_in_one_direction_flagged(self, monkeypatch, fig2_point_444):
         gmres = spla.gmres

@@ -1,6 +1,8 @@
+import concurrent.futures
 import dataclasses
 import math
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -221,6 +223,21 @@ def random_system_params(rng, dims):
 SMALL_PARTS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0])
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The union structures build_liouvillian builds, from an empty cache."""
+    built = []
+    union = lindblad._union_structure
+
+    def counting(n, terms):
+        built.append(union(n, terms))
+        return built[-1]
+
+    monkeypatch.setattr(lindblad, "_STRUCTURES", OrderedDict())
+    monkeypatch.setattr(lindblad, "_union_structure", counting)
+    return built
+
+
 class TestAssembly:
     """build_liouvillian against scipy's kron chain: bit for bit on the ring
     model, up to the signs of zeros on other operators."""
@@ -311,53 +328,30 @@ class TestAssembly:
         h = 0.3 * number(4) + 0.1 * (a + a.dag())
         assert_assembles(h, c_ops)
 
-    def test_two_patterns_cached_and_reused(self, monkeypatch):
-        built = []
-        union = lindblad._union_structure
+    def test_two_patterns_cached_and_reused(self, builds):
+        # kappa_b = 0 drops a jump operator: two more patterns, and both
+        # kappa_b > 0 patterns stay cached beside them
+        for kappa_b, count in [(2.5, 2), (0.0, 4), (0.05, 4), (0.1, 4)]:
+            run_point(baseline_params(kappa_b=kappa_b), dims=(3, 3, 3))
+            assert len(builds) == count
+        # a fifth pattern evicts the one used least recently (kappa_b = 0,
+        # drive left), not the one stored first (kappa_b = 2.5, drive left)
+        build_liouvillian(*ring_model((2, 2, 2), DriveSide.LEFT, 1.0))
+        run_point(baseline_params(kappa_b=1.0), dims=(3, 3, 3))
+        assert len(builds) == 5
+        assert len(lindblad._STRUCTURES) == 4
 
-        def counting(n, factors):
-            built.append(n)
-            return union(n, factors)
-
-        monkeypatch.setattr(lindblad, "_STRUCTURES", [])
-        monkeypatch.setattr(lindblad, "_union_structure", counting)
-        left, right = DriveSide.LEFT, DriveSide.RIGHT
-        # (drive side, kappa_b, structures built so far); kappa_b = 0 drops
-        # a jump operator, a third pattern, which evicts the one used least
-        # recently (RIGHT), not the one stored first (LEFT)
-        for drive, kappa_b, count in [
-            (left, 1.0, 1), (right, 1.0, 2), (left, 1.0, 2), (right, 1.0, 2),
-            (left, 1.0, 2), (left, 0.0, 3), (left, 1.0, 3), (right, 1.0, 4),
-        ]:
-            h, c_ops = ring_model((3, 3, 3), drive, kappa_b)
-            assert_same_bits(build_liouvillian(h, c_ops).data, scipy_sum(h, c_ops))
-            assert len(built) == count
-            assert len(lindblad._STRUCTURES) == min(count, 2)
-
-    def test_convergence_check_keeps_both_sizes(self, monkeypatch):
-        built = []
-        union = lindblad._union_structure
-
-        def counting(n, factors):
-            built.append(n)
-            return union(n, factors)
-
-        monkeypatch.setattr(lindblad, "_STRUCTURES", [])
-        monkeypatch.setattr(lindblad, "_union_structure", counting)
+    def test_convergence_check_keeps_both_sizes(self, builds):
         # each point assembles left at 3^3 and 4^3, then right at both: four
-        # patterns over two sizes, built once and reused by the next points
-        for kappa_b in (0.5, 1.0, 1.5):
+        # patterns, built once per jump-operator list and reused by kappa_b = 1
+        for kappa_b in (0.0, 0.5, 1.0):
             run_point(baseline_params(kappa_b=kappa_b), dims=(3, 3, 3),
                       convergence_check=True)
-        assert built == [27 ** 2, 64 ** 2] * 2
+        assert [len(indptr) - 1 for indptr, _, _ in builds] == [27 ** 2, 64 ** 2] * 4
         assert len(lindblad._STRUCTURES) == 4
-        # a third size evicts the one used least recently, both its patterns
-        build_liouvillian(*ring_model((2, 2, 2), DriveSide.LEFT, 1.0))
-        assert sorted(e[0][0] for e in lindblad._STRUCTURES) == [8 ** 2, 64 ** 2, 64 ** 2]
 
     @pytest.mark.parametrize("zeros_dropped", [False, True])
-    def test_returned_arrays_are_copies(self, monkeypatch, zeros_dropped):
-        monkeypatch.setattr(lindblad, "_STRUCTURES", [])
+    def test_returned_arrays_are_copies(self, builds, zeros_dropped):
         a = annihilation(3)
         # without jumps, H_kk - H_kk cancels on the diagonal of L wherever H
         # has a diagonal entry, so the result is smaller than the union
@@ -365,10 +359,31 @@ class TestAssembly:
         want = ordered_sum(h, [])
         first = build_liouvillian(h, []).data
         assert_same_bits(first, want)
-        assert (first.nnz < len(lindblad._STRUCTURES[0][2])) == zeros_dropped
+        [(_, union, _)] = builds
+        assert (first.nnz < len(union)) == zeros_dropped
         for array in (first.indptr, first.indices, first.data):
             array[:] = 0
         assert_same_bits(build_liouvillian(h, []).data, want)
+        assert len(builds) == 1
+
+    def test_threads_share_the_cache(self, builds):
+        # six patterns over two sizes, more than the cache holds, so the
+        # threads evict and rebuild what the other one is using
+        models = [ring_model((3, 3, 3), drive, kappa_b)
+                  for drive in DriveSide for kappa_b in (0.0, 1.0)]
+        models += [ring_model((4, 4, 4), drive, 1.0) for drive in DriveSide]
+        wants = [scipy_sum(h, c_ops) for h, c_ops in models]
+
+        def assemble(task):
+            for i in range(40):
+                k = (task + i) % len(models)
+                assert_same_bits(build_liouvillian(*models[k]).data, wants[k])
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            # result() raises a worker's exception, so a failed task fails here
+            for future in [pool.submit(assemble, task) for task in range(4)]:
+                future.result()
+        assert len(lindblad._STRUCTURES) <= 4
 
 
 class TestConstrainedSystem:
@@ -529,8 +544,13 @@ class TestSteadyState:
             steady_state(liouv, SteadyStateOptions(method=SteadyStateMethod.NULL_SPACE))
 
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            SteadyStateOptions(residual_tol=0.0)
+        for tol in (0.0, -1e-10, True, "1e-10", None):
+            with pytest.raises(ValueError):
+                SteadyStateOptions(residual_tol=tol)
+
+    def test_residual_tol_stored_as_float(self):
+        tol = SteadyStateOptions(residual_tol=1).residual_tol
+        assert type(tol) is float and tol == 1.0
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_non_finite_residual_tol_rejected(self, tol):
@@ -784,7 +804,7 @@ class TestEvolve:
         rho0 = DensityMatrix.from_array(
             CompositeSpace((2,)), np.diag([1.0, 0.0]).astype(complex), enforce=False
         )
-        with pytest.raises(ValueError):
-            evolve(zero_operator((2,)), [], rho0, t_final=1.0, dt=0.0)
-        with pytest.raises(ValueError):
-            evolve(zero_operator((2,)), [], rho0, t_final=0.5, dt=1.0)
+        for t_final, dt in [(1.0, 0.0), (0.5, 1.0), (1.0, math.nan), (math.inf, 0.1),
+                            (1.0, True), ("1.0", 0.1)]:
+            with pytest.raises(ValueError):
+                evolve(zero_operator((2,)), [], rho0, t_final=t_final, dt=dt)

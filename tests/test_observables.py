@@ -156,11 +156,20 @@ class TestTransmission:
 
     def test_drive_side_selects_output_mode(self):
         space = CompositeSpace((2, 1, 2))
-        rho = fock_density(space, (1, 0, 0))  # photon sits in mode a
+        # |0, 0>, |0, 1> and |1, 0> of modes (a, c): <n_a> = 0.02, <n_c> = 0.01
+        rho = DensityMatrix.from_array(
+            space, np.diag([0.97, 0.01, 0.02, 0.0]).astype(complex), enforce=False
+        )
         left = SystemParams(omega=0.1, drive=DriveSide.LEFT)
         right = SystemParams(omega=0.1, drive=DriveSide.RIGHT)
-        assert transmission(rho, left) == 0.0
-        assert transmission(rho, right) == pytest.approx(100.0)
+        assert transmission(rho, left) == pytest.approx(1.0)
+        assert transmission(rho, right) == pytest.approx(2.0)
+
+    def test_population_floor(self):
+        # an empty output mode: <n_out> = 0 is below any resolvable occupation
+        rho = fock_density(CompositeSpace((2, 1, 2)), (1, 0, 0))
+        with pytest.raises(InsufficientPopulationError, match="below the floor"):
+            transmission(rho, SystemParams(omega=0.1, drive=DriveSide.LEFT))
 
 
 class TestCorrelations:
