@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -139,13 +140,6 @@ def params_to_dict(params: SystemParams) -> dict:
     return doc
 
 
-def _config_bool(value, what: str) -> bool:
-    # bool() would turn the string "false" into True
-    if not isinstance(value, bool):
-        raise ConfigError(f"{what} must be true or false, got {value!r}")
-    return value
-
-
 def _config_int(value, what: str) -> int:
     if not _is_integral(value):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
@@ -186,13 +180,17 @@ _DIRECTIONS = {
 }
 
 
-def _drive_sides(directions) -> tuple[DriveSide, ...]:
-    try:
-        return _DIRECTIONS[directions]
-    except (KeyError, TypeError):  # TypeError: an unhashable value from JSON
-        raise ConfigError(
-            f"directions must be 'both', 'left' or 'right', got {directions!r}"
-        ) from None
+def _point_args(dims, directions, convergence_check) -> tuple[tuple[int, ...], str, bool]:
+    """The point inputs besides the parameters, checked and normalized; the
+    one rule that ``run_point``, ``SweepSpec`` and the config readers apply."""
+    dims = _parse_dims(dims)
+    # an unhashable value from JSON is not a key either
+    if not isinstance(directions, str) or directions not in _DIRECTIONS:
+        raise ConfigError(f"directions must be 'both', 'left' or 'right', got {directions!r}")
+    # bool() would turn the string "false" into True
+    if not isinstance(convergence_check, bool):
+        raise ConfigError(f"convergence_check must be true or false, got {convergence_check!r}")
+    return dims, directions, convergence_check
 
 
 def _solve_direction(params: SystemParams, dims: tuple[int, ...]) -> dict:
@@ -213,7 +211,8 @@ def _solve_direction(params: SystemParams, dims: tuple[int, ...]) -> dict:
     }
     try:
         values["t"] = transmission(rho, params)
-        # with n or fewer levels a^n = 0 and g<n> reads 0 whatever the state
+        # with n or fewer levels a^n = 0 and correlation_g_n refuses g<n>;
+        # the truncation rule leaves it None, not flagged
         for n in (2, 3):
             if dims[out_mode] > n:
                 values[f"g{n}"] = correlation_g_n(rho, out_mode, n)
@@ -227,21 +226,25 @@ _SUFFIX = {DriveSide.LEFT: "fwd", DriveSide.RIGHT: "bwd"}
 
 def run_point(
     params: SystemParams,
-    dims: tuple[int, ...] = DEFAULT_DIMS,
+    dims: tuple[int, ...] | int = DEFAULT_DIMS,
     directions: str = "both",
     convergence_check: bool = False,
     strict: bool = True,
 ) -> PointResult:
     """Evaluate one parameter point, solving each drive side independently.
 
-    With ``convergence_check`` the point is re-solved with one extra Fock
-    level per mode and the relative drifts of T, g2 and g3 are recorded.  With
-    ``strict`` any failure raises :class:`PointEvaluationError` naming the
-    failing direction; otherwise failures become error flags on the result.
+    ``dims`` (an integer for all three modes), ``directions`` and
+    ``convergence_check`` follow the point-config rules: a bad one raises
+    :class:`ConfigError` before any solve.  With ``convergence_check`` the
+    point is re-solved with one extra Fock level per mode and the relative
+    drifts of T, g2 and g3 are recorded.  With ``strict`` any failure raises
+    :class:`PointEvaluationError` naming the failing direction; otherwise
+    failures become error flags on the result.
     """
+    dims, directions, convergence_check = _point_args(dims, directions, convergence_check)
     fields: dict = {}
     resolve_notes = []
-    for side in _drive_sides(directions):
+    for side in _DIRECTIONS[directions]:
         suffix = _SUFFIX[side]
         side_params = dataclasses.replace(params, drive=side)
         try:
@@ -266,8 +269,9 @@ def run_point(
         # a drift only where both solves define the value (g2 and g3 are
         # None where the output mode is nearly empty or has too few levels)
         for stem in ("t", "g2", "g3"):
-            if values[stem] is not None and refined[stem] is not None:
-                fields[f"drift_{stem}_{suffix}"] = _relative_drift(values[stem], refined[stem])
+            coarse, fine = values[stem], refined[stem]
+            if coarse is not None and fine is not None:
+                fields[f"drift_{stem}_{suffix}"] = abs(coarse - fine) / max(abs(fine), 1e-300)
 
     notes = []
     if fields.get("t_fwd") is not None and fields.get("t_bwd") is not None:
@@ -278,10 +282,6 @@ def run_point(
         except UndefinedRatioError as exc:
             notes.append(str(exc))
     return PointResult(notes="; ".join(notes + resolve_notes) or None, **fields)
-
-
-def _relative_drift(coarse: float, fine: float) -> float:
-    return abs(coarse - fine) / max(abs(fine), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +333,9 @@ class SweepSpec:
         names = [ax.name for ax in self.axes]
         if len(set(names)) != len(names):
             raise ConfigError(f"sweep axes must be distinct, got {names}")
-        _drive_sides(self.directions)
-        object.__setattr__(self, "dims", _parse_dims(self.dims))
-        check = _config_bool(self.convergence_check, "convergence_check")
-        object.__setattr__(self, "convergence_check", check)
+        checked = _point_args(self.dims, self.directions, self.convergence_check)
+        for field, value in zip(("dims", "directions", "convergence_check"), checked):
+            object.__setattr__(self, field, value)
         object.__setattr__(self, "point_cap", _config_int(self.point_cap, "point_cap"))
         # the name is the basename of the files a sweep writes into its
         # output directory, so it may not lead out of it
@@ -375,10 +374,8 @@ class SweepSpec:
 
     def grid(self) -> list[tuple[float, ...]]:
         """Grid points in row-major order (first axis outermost)."""
-        grids = [ax.values() for ax in self.axes]
-        if len(grids) == 1:
-            return [(float(v),) for v in grids[0]]
-        return [(float(u), float(v)) for u in grids[0] for v in grids[1]]
+        grids = itertools.product(*(ax.values() for ax in self.axes))
+        return [tuple(float(v) for v in point) for point in grids]
 
 
 def _value_columns(dims: tuple[int, ...], convergence_check: bool) -> list[str]:
@@ -523,6 +520,14 @@ def write_csv(fh: TextIO, columns: list[str], rows: list[list]) -> None:
         writer.writerow([_format_cell(cell) for cell in row])
 
 
+def _check_formats(formats) -> None:
+    # a string would pass as its own letters ("csv" in "csv"), and no
+    # format at all would write only the manifest
+    if not (isinstance(formats, (tuple, list)) and formats
+            and all(f in ("csv", "json") for f in formats)):
+        raise ConfigError(f"formats must be a non-empty tuple of 'csv' and 'json', got {formats!r}")
+
+
 def _emit(
     out_dir: Path,
     basename: str,
@@ -535,8 +540,10 @@ def _emit(
 
     Row cells are None, str, int or float, which CSV and JSON take as they
     are.  ``manifest`` gains ``name`` and ``files`` unless it sets them
-    itself, and always ``version``.
+    itself, and always ``version``.  ``formats`` other than ``"csv"`` and
+    ``"json"`` are a :class:`ConfigError`.
     """
+    _check_formats(formats)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -819,7 +826,9 @@ def scenario(
     """
     specs = _scenario_specs(name, dims)
     dims = _parse_dims(dims)
-    _worker_count(jobs)  # a bad count fails before any file is written
+    # a bad count or format fails before any file is written
+    _worker_count(jobs)
+    _check_formats(formats)
     out_dir = Path(out_dir)
     files = []
     for spec in specs:
@@ -843,20 +852,15 @@ def load_point_config(doc: dict) -> tuple[SystemParams, tuple[int, ...], str, bo
     if "params" not in doc:
         raise ConfigError("point config needs a 'params' object")
     params = params_from_dict(doc["params"])
-    dims = _parse_dims(doc.get("dims"))
-    directions = doc.get("directions", "both")
-    _drive_sides(directions)
-    convergence = _config_bool(doc.get("convergence_check", False), "convergence_check")
-    return params, dims, directions, convergence
+    return params, *_point_args(
+        doc.get("dims"), doc.get("directions", "both"), doc.get("convergence_check", False)
+    )
 
 
 def load_sweep_spec(doc: dict) -> SweepSpec:
     if not isinstance(doc, dict):
         raise ConfigError("sweep spec must be a JSON object")
-    unknown = set(doc) - {
-        "axes", "fixed", "directions", "dims", "outputs",
-        "convergence_check", "point_cap", "name",
-    }
+    unknown = set(doc) - {f.name for f in dataclasses.fields(SweepSpec)}
     if unknown:
         raise ConfigError(f"unknown sweep-spec keys: {sorted(unknown)}")
     if "axes" not in doc or "fixed" not in doc:
@@ -864,26 +868,21 @@ def load_sweep_spec(doc: dict) -> SweepSpec:
     if not isinstance(doc["axes"], list):
         raise ConfigError(f"axes must be a list of axis objects, got {doc['axes']!r}")
     axes = []
+    keys = {f.name for f in dataclasses.fields(Axis)}
     for entry in doc["axes"]:
         if not isinstance(entry, dict):
             raise ConfigError(f"axis entries must be objects, got {entry!r}")
-        keys = {"name", "start", "stop", "count"}
         if set(entry) != keys:
             raise ConfigError(f"axis entry keys must be {sorted(keys)}, got {sorted(entry)}")
         axes.append(Axis(**entry))
     outputs = doc.get("outputs")
     if outputs is not None and not isinstance(outputs, list):
         raise ConfigError(f"outputs must be a list of column names, got {outputs!r}")
-    return SweepSpec(
-        axes=tuple(axes),
-        fixed=params_from_dict(doc["fixed"]),
-        directions=doc.get("directions", "both"),
-        dims=doc.get("dims"),
-        outputs=None if outputs is None else tuple(outputs),
-        convergence_check=doc.get("convergence_check", False),
-        point_cap=doc.get("point_cap", DEFAULT_POINT_CAP),
-        name=doc.get("name", "sweep"),
-    )
+    # only the keys the document holds, so SweepSpec's defaults fill the rest
+    fields = {**doc, "axes": tuple(axes), "fixed": params_from_dict(doc["fixed"])}
+    if outputs is not None:
+        fields["outputs"] = tuple(outputs)
+    return SweepSpec(**fields)
 
 
 def _load_json(path: str) -> dict:

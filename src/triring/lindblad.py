@@ -35,6 +35,7 @@ module attributes, so a patched attribute is the one that runs.
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -582,6 +583,7 @@ def evolve(
         raise ValueError(f"dt must be > 0, got {dt}")
     if t_final < dt:
         raise ValueError(f"t_final must be >= dt, got {t_final} < {dt}")
+    n_full = int(_finite_float(t_final / dt, "t_final / dt", ValueError))
     space = hamiltonian.space
     if rho0.space != space:
         raise SpaceMismatchError("initial state space does not match the Hamiltonian")
@@ -597,11 +599,11 @@ def evolve(
         return out
 
     rho = rho0.data.copy()
-    n_full = int(t_final / dt)
     remainder = t_final - n_full * dt
-    steps = [dt] * n_full
+    # one step at a time: a long run builds no list of its steps first
+    steps = itertools.repeat(dt, n_full)
     if remainder > 1e-12 * dt:
-        steps.append(remainder)
+        steps = itertools.chain(steps, (remainder,))
     for h_step in steps:
         k1 = rhs(rho)
         k2 = rhs(rho + 0.5 * h_step * k1)

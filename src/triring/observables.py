@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     InsufficientPopulationError,
+    InvalidDimensionError,
     SpaceMismatchError,
     UndefinedRatioError,
     UndefinedTransmissionError,
@@ -107,11 +108,17 @@ def correlation_g_n(rho: DensityMatrix, mode: int, n: int) -> float:
     Both moments are diagonal in the mode's Fock basis, so they reduce to
     factorial moments of the photon distribution.  Raises
     :class:`InsufficientPopulationError` below the population floor to
-    keep destructive-interference points from producing silent 0/0.
+    keep destructive-interference points from producing silent 0/0, and
+    :class:`InvalidDimensionError` where the mode has n or fewer levels.
     """
     if n < 1:
         raise ValueError(f"correlation order must be >= 1, got {n}")
     p = photon_distribution(rho, mode)
+    # there a^n = 0 on every state, so g^(n) would read 0 whatever the physics
+    if p.size <= n:
+        raise InvalidDimensionError(
+            f"g^({n}) needs more than {n} levels on mode {mode}, which has {p.size}"
+        )
     m = np.arange(p.size, dtype=float)
     mean = float(m @ p)
     _check_floor(mean, mode, f"g^({n}) would divide by ~0")

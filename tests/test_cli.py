@@ -135,8 +135,14 @@ class TestRunPoint:
         assert result.n_c_fwd < 1e-12
 
     def test_non_integral_dims_rejected(self):
-        with pytest.raises(PointEvaluationError, match="whole numbers"):
-            run_point(two_cavity_params(), dims=(3.7, 1, 3))
+        # refused before any solve, also without strict
+        for strict in (True, False):
+            with pytest.raises(ConfigError, match="whole numbers"):
+                run_point(two_cavity_params(), dims=(3.7, 1, 3), strict=strict)
+
+    def test_integer_dims_apply_to_all_modes(self):
+        params = two_cavity_params()
+        assert vars(run_point(params, dims=3)) == vars(run_point(params, dims=(3, 3, 3)))
 
     def test_single_direction(self):
         result = run_point(two_cavity_params(), dims=(3, 1, 3), directions="left")
@@ -195,21 +201,22 @@ class TestRunPoint:
         with pytest.raises(ConfigError):
             run_point(baseline_params(), directions="sideways")
 
-    @pytest.mark.parametrize("directions", ["sideways", ["left"]])
-    def test_invalid_directions_same_message_everywhere(self, directions):
-        message = (
-            "directions must be 'both', 'left' or 'right', got "
-            + repr(directions)
-        )
+    # directions, dims and convergence_check: one rule, one message
+    @pytest.mark.parametrize("field, value, message", [
+        ("directions", "sideways", "directions must be 'both', 'left' or 'right', got 'sideways'"),
+        ("directions", ["left"], "directions must be 'both', 'left' or 'right', got ['left']"),
+        ("dims", (3.7, 1, 3), "dims must be >= 1 and whole numbers, got (3.7, 1, 3)"),
+        ("convergence_check", "false", "convergence_check must be true or false, got 'false'"),
+    ], ids=["sideways", "directions1", "dims", "convergence_check"])
+    def test_invalid_directions_same_message_everywhere(self, field, value, message):
         with pytest.raises(ConfigError) as run_exc:
-            run_point(baseline_params(), directions=directions)
+            run_point(baseline_params(), **{field: value}, strict=False)
         with pytest.raises(ConfigError) as spec_exc:
             SweepSpec(
-                axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(),
-                directions=directions,
+                axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(), **{field: value}
             )
         with pytest.raises(ConfigError) as config_exc:
-            load_point_config({"params": {}, "directions": directions})
+            load_point_config({"params": {}, field: value})
         for exc in (run_exc, spec_exc, config_exc):
             assert str(exc.value) == message
 
@@ -663,6 +670,15 @@ class TestConfigDocuments:
         assert spec.name == "demo"
         assert spec.axes[0].count == 5
         assert spec.dims == (3, 1, 3)
+
+    def test_sweep_spec_defaults_come_from_sweep_spec(self):
+        spec = load_sweep_spec({
+            "axes": [{"name": "delta", "start": -1, "stop": 1, "count": 5}],
+            "fixed": {"omega": 0.1},
+        })
+        assert spec == SweepSpec(
+            axes=(Axis("delta", -1, 1, 5),), fixed=params_from_dict({"omega": 0.1})
+        )
 
     def test_sweep_spec_missing_sections(self):
         with pytest.raises(ConfigError):

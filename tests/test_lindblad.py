@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import math
 import time
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -799,6 +800,31 @@ class TestEvolve:
         rho0 = DensityMatrix.from_array(space, vacuum, enforce=False)
         with pytest.raises(StepTooLargeError):
             evolve(h, [annihilation(4)], rho0, t_final=5.0, dt=0.5)
+
+    def test_step_count_must_be_finite(self):
+        rho0 = DensityMatrix.from_array(
+            CompositeSpace((2,)), np.diag([1.0, 0.0]).astype(complex), enforce=False
+        )
+        for t_final, dt in [(1e308, 1e-308), (1e300, 1e-10)]:
+            with pytest.raises(ValueError, match="t_final / dt must be a finite number"):
+                evolve(zero_operator((2,)), [], rho0, t_final=t_final, dt=dt)
+
+    def test_steps_not_listed_up_front(self):
+        # the unstable first step fails before a million-step list would be
+        # built (8 MB of pointers)
+        space = CompositeSpace((4,))
+        h = Operator(space, 50.0 * (annihilation(4).data + annihilation(4).data.conj().T))
+        vacuum = np.zeros((4, 4), dtype=complex)
+        vacuum[0, 0] = 1.0
+        rho0 = DensityMatrix.from_array(space, vacuum, enforce=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StepTooLargeError):
+                evolve(h, [annihilation(4)], rho0, t_final=0.5e6, dt=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_step_validation(self):
         rho0 = DensityMatrix.from_array(

@@ -8,6 +8,7 @@ from triring import (
     DensityMatrix,
     DriveSide,
     InsufficientPopulationError,
+    InvalidDimensionError,
     Operator,
     SpaceMismatchError,
     SystemParams,
@@ -196,6 +197,13 @@ class TestCorrelations:
         rho = fock_density(CompositeSpace((4,)), (0,))
         with pytest.raises(InsufficientPopulationError):
             correlation_g_n(rho, 0, 2)
+
+    def test_order_needs_more_levels_than_n(self):
+        # with three levels a^3 = 0 on every state: g3 would read 0
+        rho = fock_density(CompositeSpace((3,)), (1,))
+        assert correlation_g_n(rho, 0, 2) == 0.0
+        with pytest.raises(InvalidDimensionError, match="more than 3 levels on mode 0"):
+            correlation_g_n(rho, 0, 3)
 
     def test_order_validation(self):
         rho = fock_density(CompositeSpace((4,)), (1,))

@@ -13,6 +13,7 @@ import json
 import pytest
 
 import triring.cli as cli
+from triring.errors import ConfigError
 from triring.observables import PointResult
 
 # sha256 of each data file the scenarios write under fake_run_point at dims 4
@@ -203,3 +204,16 @@ def test_formats_limit_files(tmp_path, monkeypatch, formats):
         f"fig3ab{suffix}", "fig3ab_manifest.json",
         f"fig3c{suffix}", "fig3c_manifest.json",
     ]
+
+
+# a string would pass as its letters, an empty value would write only the
+# manifest, and an unknown format would be dropped
+@pytest.mark.parametrize("formats", [("xml",), ("csv", "xml"), (), "csv", None])
+def test_unknown_formats_refused_before_any_file(tmp_path, monkeypatch, formats):
+    monkeypatch.setattr(cli, "run_point", fake_run_point)
+    for name in ("smatrix-check", "fig3"):
+        with pytest.raises(ConfigError, match="formats must be"):
+            cli.scenario(name, tmp_path, dims=4, jobs=1, formats=formats)
+    with pytest.raises(ConfigError, match="formats must be"):
+        cli.emit_table(tmp_path, "table", ["x"], [[1]], {}, formats=formats)
+    assert not list(tmp_path.iterdir())
