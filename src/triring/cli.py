@@ -353,6 +353,13 @@ class SweepSpec:
                 "raise point_cap explicitly if this is intended"
             )
         if self.outputs is not None:
+            # a bare string would pass as its own letters
+            if not (isinstance(self.outputs, (tuple, list))
+                    and all(isinstance(c, str) for c in self.outputs)):
+                raise ConfigError(
+                    f"outputs must be a list of column names, got {self.outputs!r}"
+                )
+            object.__setattr__(self, "outputs", tuple(self.outputs))
             allowed = set(_value_columns(self.dims, self.convergence_check))
             unknown = [c for c in self.outputs if c not in allowed]
             untruncated = _value_columns((P_M_MAX,) * 3, self.convergence_check)
@@ -875,14 +882,8 @@ def load_sweep_spec(doc: dict) -> SweepSpec:
         if set(entry) != keys:
             raise ConfigError(f"axis entry keys must be {sorted(keys)}, got {sorted(entry)}")
         axes.append(Axis(**entry))
-    outputs = doc.get("outputs")
-    if outputs is not None and not isinstance(outputs, list):
-        raise ConfigError(f"outputs must be a list of column names, got {outputs!r}")
     # only the keys the document holds, so SweepSpec's defaults fill the rest
-    fields = {**doc, "axes": tuple(axes), "fixed": params_from_dict(doc["fixed"])}
-    if outputs is not None:
-        fields["outputs"] = tuple(outputs)
-    return SweepSpec(**fields)
+    return SweepSpec(**{**doc, "axes": tuple(axes), "fixed": params_from_dict(doc["fixed"])})
 
 
 def _load_json(path: str) -> dict:

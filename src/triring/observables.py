@@ -9,6 +9,7 @@ relation the output-field correlators are identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     UndefinedRatioError,
     UndefinedTransmissionError,
 )
-from .fock import CompositeSpace, Operator
+from .fock import CompositeSpace, Operator, _finite_float, _is_integral
 from .lindblad import DensityMatrix
 from .model import MODE_A, MODE_C, DriveSide, SystemParams
 
@@ -129,18 +130,29 @@ def correlation_g_n(rho: DensityMatrix, mode: int, n: int) -> float:
 
 
 def poisson_reference(mean: float, m_max: int) -> np.ndarray:
-    """Poisson weights exp(-mean) mean^m / m! for m = 0 ... m_max."""
+    """Poisson weights exp(-mean) mean^m / m! for m = 0 ... m_max.
+
+    Evaluated in the log form exp(m log(mean) - log(m!) - mean) that
+    scipy.stats.poisson.pmf uses, with numpy and ``math`` alone: up to
+    m_max = 12, where m! is exact in a double, the weights equal scipy's
+    ``exp(xlogy(m, mean) - gammaln(m + 1) - mean)`` bit for bit; above it
+    gammaln may differ from log(m!) by an ulp.  A zero mean gives
+    [1, 0, ..., 0].  A negative or non-finite ``mean`` and a
+    negative or non-integral ``m_max`` raise ``ValueError``.
+    """
+    mean = _finite_float(mean, "mean", ValueError)
     if mean < 0:
         raise ValueError(f"mean must be >= 0, got {mean}")
+    if not _is_integral(m_max):
+        raise ValueError(f"m_max must be an integer, got {m_max!r}")
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
-    # the log form scipy.stats.poisson.pmf evaluates; importing scipy.stats
-    # for it would dominate the package's import time, and scipy.special is
-    # imported here so that only the callers of this function load it
-    from scipy import special
-
-    k = np.arange(m_max + 1)
-    return np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+    m = np.arange(int(m_max) + 1, dtype=float)
+    if mean == 0:
+        # log(0) is -inf, and 0 * -inf would make the m = 0 weight nan
+        return (m == 0).astype(float)
+    log_factorial = np.array([math.log(math.factorial(k)) for k in range(m.size)])
+    return np.exp(m * math.log(mean) - log_factorial - mean)
 
 
 def isolation(t_fwd: float, t_bwd: float) -> float:

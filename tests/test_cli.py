@@ -374,6 +374,19 @@ class TestSweepSpec:
                 outputs=("t_fwd", "nonsense"),
             )
 
+    # a bare string would be read as its letters
+    @pytest.mark.parametrize("outputs", ["t_fwd", ("t_fwd", 3), {"t_fwd": 1}])
+    def test_outputs_must_be_a_list_of_names(self, outputs):
+        with pytest.raises(ConfigError) as exc:
+            SweepSpec(axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(), outputs=outputs)
+        assert str(exc.value) == f"outputs must be a list of column names, got {outputs!r}"
+
+    def test_outputs_stored_as_tuple(self):
+        spec = SweepSpec(
+            axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(), outputs=["t_fwd", "t_bwd"],
+        )
+        assert spec.outputs == ("t_fwd", "t_bwd")
+
     @pytest.mark.parametrize("dims, missing", [
         ((3, 3, 3), ["p3_fwd", "p3_bwd"]),
         ((4, 3, 3), ["p3_fwd"]),

@@ -137,6 +137,52 @@ class TestPoissonReference:
         with pytest.raises(ValueError):
             poisson_reference(-0.1, 3)
 
+    @pytest.mark.parametrize("mean, m_max, message", [
+        (float("nan"), 3, "mean must be a finite number"),
+        (float("inf"), 3, "mean must be a finite number"),
+        (True, 3, "mean must be a number"),
+        ("0.5", 3, "mean must be a number"),
+        (0.5, 2.5, "m_max must be an integer"),
+        (0.5, "3", "m_max must be an integer"),
+        (0.5, True, "m_max must be an integer"),
+        (0.5, -1, "m_max must be >= 0"),
+    ])
+    def test_invalid_inputs_rejected(self, mean, m_max, message):
+        with pytest.raises(ValueError, match=message):
+            poisson_reference(mean, m_max)
+
+    def test_integral_float_m_max(self):
+        assert np.array_equal(poisson_reference(0.5, 4.0), poisson_reference(0.5, 4))
+
+    # scipy.stats.poisson.pmf's log form; only this test imports scipy.special
+    @staticmethod
+    def _scipy_weights(mean, m_max):
+        from scipy import special
+
+        k = np.arange(m_max + 1)
+        return np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+
+    MEANS = (0.0, 1e-300, 1e-12, 0.3, 1.0, 7.0)
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_equals_scipy_bit_for_bit_up_to_12(self, mean):
+        # m! is exact in a double up to 12!, where gammaln is log(m!)
+        for m_max in range(13):
+            ours = poisson_reference(mean, m_max)
+            assert ours.tobytes() == self._scipy_weights(mean, m_max).tobytes()
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_agrees_with_scipy_up_to_60(self, mean):
+        # beyond 12 gammaln and log(m!) may differ by an ulp, which moves the
+        # weight by an ulp of its logarithm: 5.7e-14 relative at mean 0.3,
+        # m = 60, where the logarithm is -261
+        ours, theirs = poisson_reference(mean, 60), self._scipy_weights(mean, 60)
+        assert np.array_equal(ours == 0, theirs == 0)
+        nonzero = theirs != 0
+        log_weight = np.abs(np.log(theirs[nonzero]))
+        tolerance = 1e-14 * np.maximum(1.0, log_weight) * theirs[nonzero]
+        assert np.all(np.abs(ours[nonzero] - theirs[nonzero]) <= tolerance)
+
 
 class TestTransmission:
     def test_formula_arithmetic(self):

@@ -1,4 +1,5 @@
-"""Start-up cost: commands that solve nothing load no scipy module."""
+"""Start-up cost: commands that solve nothing load no scipy module, and
+no scenario loads scipy.special."""
 
 import dataclasses
 import json
@@ -37,18 +38,45 @@ print(json.dumps({"scipy_before_solve": loaded, "result": dataclasses.asdict(res
 """
 
 
-def test_commands_that_solve_nothing_load_no_scipy(tmp_path):
+def _run_child(script: str, *args: str) -> dict:
+    """Run ``script`` in a fresh interpreter; the JSON its last line prints."""
     src = str(Path(triring.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(tmp_path)],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_that_solve_nothing_load_no_scipy(tmp_path):
+    report = _run_child(_CHILD, str(tmp_path))
     assert report["scipy_before_solve"] == []
     # the first solve imports scipy and gives the same record, bit for bit:
     # json writes each float with the shortest repr that reads back exactly
     here = json.loads(json.dumps(dataclasses.asdict(run_point(baseline_params(), dims=(2, 2, 2)))))
     assert report["result"] == here
+
+
+# fig3 with the fake run_point of test_scenario_outputs.py, so that its
+# Poisson table is built without a solve
+_FIG3_CHILD = r"""
+import json, sys
+
+sys.path.insert(0, sys.argv[2])
+import triring.cli as cli
+from test_scenario_outputs import fake_run_point
+
+cli.run_point = fake_run_point
+files = cli.scenario("fig3", sys.argv[1], dims=4, jobs=1)
+loaded = sorted(m for m in sys.modules if m == "scipy.special" or m.startswith("scipy.special."))
+print(json.dumps({"files": [p.name for p in files], "scipy_special": loaded}))
+"""
+
+
+def test_fig3_poisson_table_loads_no_scipy_special(tmp_path):
+    report = _run_child(_FIG3_CHILD, str(tmp_path), str(Path(__file__).parent))
+    assert "fig3c.csv" in report["files"]
+    assert report["scipy_special"] == []
