@@ -43,7 +43,7 @@ from .errors import (
     TriringError,
     UndefinedRatioError,
 )
-from .fock import CompositeSpace, _finite_float, _is_integral
+from .fock import CompositeSpace, _finite_float, _flag, _whole_number
 from .lindblad import build_liouvillian, steady_state
 from .model import (
     DriveSide,
@@ -112,22 +112,30 @@ def params_from_dict(doc: dict) -> SystemParams:
 
     Accepts the full field names plus the shorthands ``delta`` (all three
     detunings), ``u`` (both Kerr strengths), ``j`` (all three couplings)
-    and ``kappa`` (both port losses).
+    and ``kappa`` (both port losses).  A field given both directly and
+    through its shorthand is a :class:`ConfigError` naming both keys.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"params must be an object, got {type(doc).__name__}")
     fields: dict = {}
+    given_by: dict = {}
     for key, value in doc.items():
         if key in _SHORTHAND:
-            for target in _SHORTHAND[key]:
-                fields[target] = _finite_float(value, f"parameter {key!r}", ConfigError)
-        elif key == "drive":
-            fields[key] = value  # SystemParams checks it
+            targets = _SHORTHAND[key]
         elif key in _PARAM_KEYS:
-            fields[key] = _finite_float(value, f"parameter {key!r}", ConfigError)
+            targets = (key,)
         else:
             allowed = sorted(_PARAM_KEYS | set(_SHORTHAND))
             raise ConfigError(f"unknown parameter {key!r}; allowed: {allowed}")
+        for target in targets:
+            if target in given_by:
+                raise ConfigError(
+                    f"parameters {given_by[target]!r} and {key!r} both set {target!r}"
+                )
+            given_by[target] = key
+        if key != "drive":  # SystemParams checks the drive
+            value = _finite_float(value, f"parameter {key!r}", ConfigError)
+        fields.update(dict.fromkeys(targets, value))
     try:
         return SystemParams(**fields)
     except TriringError as exc:
@@ -140,25 +148,18 @@ def params_to_dict(params: SystemParams) -> dict:
     return doc
 
 
-def _config_int(value, what: str) -> int:
-    if not _is_integral(value):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _parse_dims(value) -> tuple[int, ...]:
     if value is None:
         return DEFAULT_DIMS
     # any iterable but a string gives one entry per mode; a scalar, all three
-    if isinstance(value, Iterable) and not isinstance(value, (str, bytes)):
-        entries = tuple(value)
-    else:
-        entries = (value,) * 3
+    if not isinstance(value, Iterable) or isinstance(value, (str, bytes)):
+        return (_whole_number(value, "dims", ConfigError, minimum=1),) * 3
+    entries = tuple(value)
     if len(entries) != 3:
         raise ConfigError(f"dims must have 3 entries (a, b, c), got {entries}")
-    if not all(_is_integral(d) and d >= 1 for d in entries):
-        raise ConfigError(f"dims must be >= 1 and whole numbers, got {value!r}")
-    return tuple(int(d) for d in entries)
+    return tuple(
+        _whole_number(d, f"dims[{k}]", ConfigError, minimum=1) for k, d in enumerate(entries)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +188,7 @@ def _point_args(dims, directions, convergence_check) -> tuple[tuple[int, ...], s
     # an unhashable value from JSON is not a key either
     if not isinstance(directions, str) or directions not in _DIRECTIONS:
         raise ConfigError(f"directions must be 'both', 'left' or 'right', got {directions!r}")
-    # bool() would turn the string "false" into True
-    if not isinstance(convergence_check, bool):
-        raise ConfigError(f"convergence_check must be true or false, got {convergence_check!r}")
-    return dims, directions, convergence_check
+    return dims, directions, _flag(convergence_check, "convergence_check", ConfigError)
 
 
 def _solve_direction(params: SystemParams, dims: tuple[int, ...]) -> dict:
@@ -233,15 +231,17 @@ def run_point(
 ) -> PointResult:
     """Evaluate one parameter point, solving each drive side independently.
 
-    ``dims`` (an integer for all three modes), ``directions`` and
-    ``convergence_check`` follow the point-config rules: a bad one raises
-    :class:`ConfigError` before any solve.  With ``convergence_check`` the
-    point is re-solved with one extra Fock level per mode and the relative
-    drifts of T, g2 and g3 are recorded.  With ``strict`` any failure raises
+    ``dims`` (whole numbers >= 1, or one for all three modes),
+    ``directions``, ``convergence_check`` and ``strict`` (both bools) follow
+    the point-config rules: a bad one raises :class:`ConfigError` before
+    any solve.  With ``convergence_check`` the point is re-solved with one
+    extra Fock level per mode and the relative drifts of T, g2 and g3 are
+    recorded.  With ``strict`` any failure raises
     :class:`PointEvaluationError` naming the failing direction; otherwise
     failures become error flags on the result.
     """
     dims, directions, convergence_check = _point_args(dims, directions, convergence_check)
+    _flag(strict, "strict", ConfigError)
     fields: dict = {}
     resolve_notes = []
     for side in _DIRECTIONS[directions]:
@@ -290,6 +290,9 @@ def run_point(
 
 @dataclass(frozen=True)
 class Axis:
+    """``count`` evenly spaced values from ``start`` to ``stop`` of one
+    parameter; ``count`` is a whole number >= 2, else :class:`ConfigError`."""
+
     name: str
     start: float
     stop: float
@@ -303,10 +306,8 @@ class Axis:
         for end in ("start", "stop"):
             value = _finite_float(getattr(self, end), f"axis {self.name!r} {end}", ConfigError)
             object.__setattr__(self, end, value)
-        count = _config_int(self.count, f"axis {self.name!r} count")
+        count = _whole_number(self.count, f"axis {self.name!r} count", ConfigError, minimum=2)
         object.__setattr__(self, "count", count)
-        if self.count < 2:
-            raise ConfigError(f"axis {self.name!r} needs count >= 2, got {self.count}")
         if self.start == self.stop:
             raise ConfigError(f"axis {self.name!r} has start == stop == {self.start}")
 
@@ -316,7 +317,12 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A 1D or 2D grid over immutable baseline parameters."""
+    """A 1D or 2D grid over immutable baseline parameters.
+
+    ``dims`` follows :func:`run_point`'s rule and ``point_cap`` is a whole
+    number >= 1, else :class:`ConfigError`; a grid above the cap is a
+    :class:`SweepCapError`.
+    """
 
     axes: tuple[Axis, ...]
     fixed: SystemParams
@@ -336,7 +342,8 @@ class SweepSpec:
         checked = _point_args(self.dims, self.directions, self.convergence_check)
         for field, value in zip(("dims", "directions", "convergence_check"), checked):
             object.__setattr__(self, field, value)
-        object.__setattr__(self, "point_cap", _config_int(self.point_cap, "point_cap"))
+        point_cap = _whole_number(self.point_cap, "point_cap", ConfigError, minimum=1)
+        object.__setattr__(self, "point_cap", point_cap)
         # the name is the basename of the files a sweep writes into its
         # output directory, so it may not lead out of it
         if not isinstance(self.name, str):
@@ -451,9 +458,7 @@ def _worker_count(jobs: int | None) -> int:
     """``jobs`` itself, or one worker per CPU for None."""
     if jobs is None:
         return os.cpu_count() or 1
-    if not _is_integral(jobs) or jobs < 1:
-        raise ConfigError(f"jobs must be a whole number >= 1, got {jobs!r}")
-    return int(jobs)
+    return _whole_number(jobs, "jobs", ConfigError, minimum=1)
 
 
 def run_sweep(
@@ -463,8 +468,8 @@ def run_sweep(
 
     Results are ordered by grid index regardless of worker scheduling, so
     parallel and serial runs produce identical tables.  ``jobs`` is the
-    number of worker processes, None for one per CPU; below one it is a
-    :class:`ConfigError`.
+    number of worker processes, a whole number >= 1, or None for one per
+    CPU; anything else is a :class:`ConfigError`.
 
     ``memo`` is an optional caller-owned dict from
     ``(params, dims, directions, convergence_check)`` to ``PointResult``.
@@ -829,7 +834,8 @@ def scenario(
 
     Sweep points already solved by an earlier call in this process with the
     same ``run_point`` are reused rather than solved again; the files
-    written are the same either way.
+    written are the same either way.  ``dims`` follows :func:`run_point`'s
+    rule and ``jobs`` :func:`run_sweep`'s.
     """
     specs = _scenario_specs(name, dims)
     dims = _parse_dims(dims)

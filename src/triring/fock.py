@@ -39,8 +39,25 @@ def _is_integral(value) -> bool:
     if isinstance(value, bool):
         return False
     return isinstance(value, (int, np.integer)) or (
-        isinstance(value, float) and value.is_integer()
+        isinstance(value, (float, np.floating)) and value.is_integer()
     )
+
+
+def _whole_number(value, what: str, error: type[Exception], minimum: int = 0) -> int:
+    """``value`` as an int; ``error`` naming ``what`` unless it is a whole
+    number >= ``minimum``.  The integer twin of :func:`_finite_float`: 4.0
+    and ``np.int64(4)`` are 4; a bool, a string and 4.5 are refused."""
+    if not _is_integral(value) or value < minimum:
+        raise error(f"{what} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _flag(value, what: str, error: type[Exception]) -> bool:
+    """``value`` itself; ``error`` naming ``what`` unless it is a bool."""
+    # bool() would turn the string "false" into True
+    if not isinstance(value, bool):
+        raise error(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def _finite_float(value, what: str, error: type[Exception]) -> float:
@@ -66,10 +83,9 @@ class ModeSpace:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise InvalidDimensionError(
-                f"a mode needs at least 2 Fock levels to host ladder operators, got {self.dim}"
-            )
+        # ladder operators need at least the levels |0> and |1>
+        dim = _whole_number(self.dim, "mode dim", InvalidDimensionError, minimum=2)
+        object.__setattr__(self, "dim", dim)
 
 
 @dataclass(frozen=True)
@@ -77,7 +93,9 @@ class CompositeSpace:
     """Ordered tensor product of truncated modes.
 
     Dimension-1 entries are allowed as padding for decoupled modes;
-    ladder operators cannot be built on them.
+    ladder operators cannot be built on them.  Every entry must be a whole
+    number >= 1 (4.0 and ``np.int64(4)`` are stored as 4), else
+    :class:`InvalidDimensionError`.
     """
 
     mode_dims: tuple[int, ...]
@@ -86,11 +104,11 @@ class CompositeSpace:
         dims = tuple(self.mode_dims)
         if not dims:
             raise InvalidDimensionError("a composite space needs at least one mode")
-        if not all(_is_integral(d) and d >= 1 for d in dims):
-            raise InvalidDimensionError(
-                f"mode dimensions must be whole numbers >= 1, got {dims}"
-            )
-        object.__setattr__(self, "mode_dims", tuple(int(d) for d in dims))
+        dims = tuple(
+            _whole_number(d, f"mode_dims[{k}]", InvalidDimensionError, minimum=1)
+            for k, d in enumerate(dims)
+        )
+        object.__setattr__(self, "mode_dims", dims)
 
     @classmethod
     def single(cls, dim: int) -> "CompositeSpace":
@@ -178,8 +196,9 @@ def number(dim: int) -> Operator:
 
 
 def identity(dim: int) -> Operator:
-    if dim < 1:
-        raise InvalidDimensionError(f"identity needs dim >= 1, got {dim}")
+    """Identity on one mode; ``dim`` is a whole number >= 1, else
+    :class:`InvalidDimensionError`."""
+    dim = _whole_number(dim, "identity dim", InvalidDimensionError, minimum=1)
     return Operator(CompositeSpace((dim,)), np.eye(dim, dtype=complex))
 
 
@@ -195,12 +214,17 @@ def tensor(a: Operator, b: Operator) -> Operator:
 
 
 def embed(op: Operator, mode_index: int, space: CompositeSpace) -> Operator:
-    """Lift a single-mode operator to ``space``, acting as identity elsewhere."""
+    """Lift a single-mode operator to ``space``, acting as identity elsewhere.
+
+    ``mode_index`` is a whole number below ``space.n_modes``, else
+    :class:`InvalidEmbeddingError`.
+    """
     if op.space.n_modes != 1:
         raise InvalidEmbeddingError(
             f"only single-mode operators can be embedded, got {op.space.n_modes} modes"
         )
-    if not 0 <= mode_index < space.n_modes:
+    mode_index = _whole_number(mode_index, "mode index", InvalidEmbeddingError)
+    if mode_index >= space.n_modes:
         raise InvalidEmbeddingError(
             f"mode index {mode_index} out of range for {space.n_modes} modes"
         )
@@ -217,15 +241,20 @@ def embed(op: Operator, mode_index: int, space: CompositeSpace) -> Operator:
 
 
 def basis_index(space: CompositeSpace, occupations) -> int:
-    """Flat index of the basis state |n_0, n_1, ...> in ``space``."""
-    occ = tuple(int(n) for n in occupations)
+    """Flat index of the basis state |n_0, n_1, ...> in ``space``.
+
+    Each occupation is a whole number below its mode's truncation, else
+    :class:`InvalidEmbeddingError`.
+    """
+    occ = tuple(occupations)
     if len(occ) != space.n_modes:
         raise InvalidEmbeddingError(
             f"expected {space.n_modes} occupation numbers, got {len(occ)}"
         )
     idx = 0
-    for n, d in zip(occ, space.mode_dims):
-        if not 0 <= n < d:
+    for k, (n, d) in enumerate(zip(occ, space.mode_dims)):
+        n = _whole_number(n, f"occupation of mode {k}", InvalidEmbeddingError)
+        if n >= d:
             raise InvalidEmbeddingError(f"occupation {n} outside truncation {d}")
         idx = idx * d + n
     return idx

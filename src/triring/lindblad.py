@@ -52,7 +52,7 @@ from .errors import (
     SpaceMismatchError,
     StepTooLargeError,
 )
-from .fock import CompositeSpace, Operator, _finite_float
+from .fock import CompositeSpace, Operator, _finite_float, _flag
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -87,11 +87,20 @@ class SteadyStateMethod(Enum):
 
 @dataclass(frozen=True)
 class SteadyStateOptions:
+    """How :func:`steady_state` solves.
+
+    ``method`` is a :class:`SteadyStateMethod` or its value
+    (``"trace-constrained"``, ``"null-space"``), ``residual_tol`` a finite
+    number > 0 and ``hermitize`` a bool; anything else is a ``ValueError``.
+    """
+
     method: SteadyStateMethod = SteadyStateMethod.TRACE_CONSTRAINED
     residual_tol: float = 1e-10
     hermitize: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "method", SteadyStateMethod(self.method))
+        _flag(self.hermitize, "hermitize", ValueError)
         tol = self.residual_tol
         # nan and inf share the message of <= 0: each lets any candidate pass
         if isinstance(tol, numbers.Real) and not 0 < tol < np.inf:

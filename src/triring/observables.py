@@ -21,7 +21,7 @@ from .errors import (
     UndefinedRatioError,
     UndefinedTransmissionError,
 )
-from .fock import CompositeSpace, Operator, _finite_float, _is_integral
+from .fock import CompositeSpace, Operator, _finite_float, _whole_number
 from .lindblad import DensityMatrix
 from .model import MODE_A, MODE_C, DriveSide, SystemParams
 
@@ -61,10 +61,12 @@ def expectation(rho: DensityMatrix, op: Operator) -> complex:
 
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
-    """Reduced single-mode density matrix of mode ``keep``."""
+    """Reduced single-mode density matrix of mode ``keep``, a whole number
+    below the number of modes (else ``ValueError``)."""
     dims = rho.space.mode_dims
     n = len(dims)
-    if not 0 <= keep < n:
+    keep = _whole_number(keep, "mode index", ValueError)
+    if keep >= n:
         raise ValueError(f"mode index {keep} out of range for {n} modes")
     reshaped = rho.data.reshape(dims + dims)
     row = list(range(n))
@@ -76,12 +78,14 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
 
 
 def photon_distribution(rho: DensityMatrix, mode: int) -> np.ndarray:
-    """P_m for m = 0 ... dim-1 of the given mode (diagonal of the reduced state)."""
+    """P_m for m = 0 ... dim-1 of the given mode (diagonal of the reduced
+    state); ``mode`` follows :func:`partial_trace`'s rule."""
     return np.diag(partial_trace(rho, mode).data).real.copy()
 
 
 def mean_occupation(rho: DensityMatrix, mode: int) -> float:
-    """<n> of one mode, evaluated from its reduced photon distribution."""
+    """<n> of one mode, evaluated from its reduced photon distribution;
+    ``mode`` follows :func:`partial_trace`'s rule."""
     p = photon_distribution(rho, mode)
     return float(np.arange(p.size) @ p)
 
@@ -111,9 +115,10 @@ def correlation_g_n(rho: DensityMatrix, mode: int, n: int) -> float:
     :class:`InsufficientPopulationError` below the population floor to
     keep destructive-interference points from producing silent 0/0, and
     :class:`InvalidDimensionError` where the mode has n or fewer levels.
+    ``n`` is a whole number >= 1 and ``mode`` one below the number of
+    modes, else ``ValueError``.
     """
-    if n < 1:
-        raise ValueError(f"correlation order must be >= 1, got {n}")
+    n = _whole_number(n, "correlation order", ValueError, minimum=1)
     p = photon_distribution(rho, mode)
     # there a^n = 0 on every state, so g^(n) would read 0 whatever the physics
     if p.size <= n:
@@ -137,17 +142,14 @@ def poisson_reference(mean: float, m_max: int) -> np.ndarray:
     m_max = 12, where m! is exact in a double, the weights equal scipy's
     ``exp(xlogy(m, mean) - gammaln(m + 1) - mean)`` bit for bit; above it
     gammaln may differ from log(m!) by an ulp.  A zero mean gives
-    [1, 0, ..., 0].  A negative or non-finite ``mean`` and a
-    negative or non-integral ``m_max`` raise ``ValueError``.
+    [1, 0, ..., 0].  A negative or non-finite ``mean`` and an ``m_max``
+    that is not a whole number >= 0 raise ``ValueError``.
     """
     mean = _finite_float(mean, "mean", ValueError)
     if mean < 0:
         raise ValueError(f"mean must be >= 0, got {mean}")
-    if not _is_integral(m_max):
-        raise ValueError(f"m_max must be an integer, got {m_max!r}")
-    if m_max < 0:
-        raise ValueError(f"m_max must be >= 0, got {m_max}")
-    m = np.arange(int(m_max) + 1, dtype=float)
+    m_max = _whole_number(m_max, "m_max", ValueError)
+    m = np.arange(m_max + 1, dtype=float)
     if mean == 0:
         # log(0) is -inf, and 0 * -inf would make the m = 0 weight nan
         return (m == 0).astype(float)

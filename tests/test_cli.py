@@ -84,6 +84,18 @@ class TestParamsParsing:
             assert str(parsed.value) == f"invalid parameters: {direct.value}"
 
 
+    @pytest.mark.parametrize("doc, first, second, field", [
+        ({"delta": 0.5, "delta_a": 1.0}, "delta", "delta_a", "delta_a"),
+        ({"delta_a": 1.0, "delta": 0.5}, "delta_a", "delta", "delta_a"),
+        ({"kappa_c": 1.0, "u": 5.0, "kappa": 2.0}, "kappa_c", "kappa", "kappa_c"),
+        ({"j": 0.7, "omega": 0.1, "j_ac": 0.5}, "j", "j_ac", "j_ac"),
+    ])
+    def test_field_given_twice_refused(self, doc, first, second, field):
+        # either order: the later key must not silently win
+        with pytest.raises(ConfigError) as exc:
+            params_from_dict(doc)
+        assert str(exc.value) == f"parameters {first!r} and {second!r} both set {field!r}"
+
     def test_invalid_physics_reported_as_config_error(self):
         with pytest.raises(ConfigError, match="invalid parameters"):
             params_from_dict({"kappa_a": 0.0})
@@ -136,9 +148,18 @@ class TestRunPoint:
 
     def test_non_integral_dims_rejected(self):
         # refused before any solve, also without strict
+        message = r"^dims\[0\] must be a whole number >= 1, got 3.7$"
         for strict in (True, False):
-            with pytest.raises(ConfigError, match="whole numbers"):
+            with pytest.raises(ConfigError, match=message):
                 run_point(two_cavity_params(), dims=(3.7, 1, 3), strict=strict)
+
+    @pytest.mark.parametrize("strict", ["false", "true", 0, 1, None])
+    def test_strict_must_be_a_bool(self, monkeypatch, strict):
+        # refused before any solve: a string "false" would raise on the first failure
+        monkeypatch.setattr(cli, "_solve_direction", None)
+        with pytest.raises(ConfigError) as exc:
+            run_point(two_cavity_params(), dims=(3, 1, 3), strict=strict)
+        assert str(exc.value) == f"strict must be true or false, got {strict!r}"
 
     def test_integer_dims_apply_to_all_modes(self):
         params = two_cavity_params()
@@ -205,7 +226,7 @@ class TestRunPoint:
     @pytest.mark.parametrize("field, value, message", [
         ("directions", "sideways", "directions must be 'both', 'left' or 'right', got 'sideways'"),
         ("directions", ["left"], "directions must be 'both', 'left' or 'right', got ['left']"),
-        ("dims", (3.7, 1, 3), "dims must be >= 1 and whole numbers, got (3.7, 1, 3)"),
+        ("dims", (3.7, 1, 3), "dims[0] must be a whole number >= 1, got 3.7"),
         ("convergence_check", "false", "convergence_check must be true or false, got 'false'"),
     ], ids=["sideways", "directions1", "dims", "convergence_check"])
     def test_invalid_directions_same_message_everywhere(self, field, value, message):
@@ -422,7 +443,8 @@ class TestSweepSpec:
         )
 
     def test_axis_count_must_be_integral(self):
-        with pytest.raises(ConfigError, match="axis 'delta' count must be an integer, got 2.5"):
+        message = "axis 'delta' count must be a whole number >= 2, got 2.5"
+        with pytest.raises(ConfigError, match=message):
             Axis("delta", -1, 1, 2.5)
         assert type(Axis("delta", -1, 1, 3.0).count) is int
 
@@ -434,7 +456,7 @@ class TestSweepSpec:
             )
 
     def test_dims_checked_and_normalized(self):
-        with pytest.raises(ConfigError, match="dims must be >= 1 and whole numbers"):
+        with pytest.raises(ConfigError, match=r"dims\[0\] must be a whole number >= 1, got 3.7"):
             SweepSpec(
                 axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(),
                 dims=(3.7, 1, 3),
@@ -446,7 +468,7 @@ class TestSweepSpec:
         assert spec.dims == (3, 1, 3) and all(type(d) is int for d in spec.dims)
 
     def test_point_cap_must_be_integral(self):
-        with pytest.raises(ConfigError, match="point_cap must be an integer"):
+        with pytest.raises(ConfigError, match="point_cap must be a whole number >= 1, got '100'"):
             SweepSpec(
                 axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(),
                 point_cap="100",
@@ -655,9 +677,10 @@ class TestConfigDocuments:
         "dims", [0, -1, [0, 0, 0], [3, 0, 3], [4.7, 4, 4], True, [4, True, 4], "444"]
     )
     def test_dims_below_one_rejected(self, dims):
-        with pytest.raises(ConfigError, match="dims must be >= 1"):
+        message = r"^dims(\[\d\])? must be a whole number >= 1, got "
+        with pytest.raises(ConfigError, match=message):
             load_point_config({"params": {}, "dims": dims})
-        with pytest.raises(ConfigError, match="dims must be >= 1"):
+        with pytest.raises(ConfigError, match=message):
             scenario("fig2a", dims=dims)
 
     @pytest.mark.parametrize("dims", [[4.0, 1, 4], np.array([4, 1, 4]), range(4, 1, -1)])
@@ -781,7 +804,7 @@ class TestCommandLine:
             "scenario": ["scenario", "fig2a", "--out", str(out), "--jobs", "1"],
         }[command]
         assert main(argv + ["--dims", "0"]) == 2
-        assert "dims must be >= 1" in capsys.readouterr().err
+        assert "dims must be a whole number >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "scenario"])
@@ -843,7 +866,7 @@ class TestCommandLine:
         ({"axes": [{"name": "delta", "start": "x", "stop": 1, "count": 3}], "fixed": {}},
          "axis 'delta' start must be a number, got 'x'"),
         ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2.5}], "fixed": {}},
-         "axis 'delta' count must be an integer, got 2.5"),
+         "axis 'delta' count must be a whole number >= 2, got 2.5"),
         ({"axes": [3], "fixed": {}}, "axis entries must be objects, got 3"),
         ({"axes": 3, "fixed": {}}, "axes must be a list of axis objects, got 3"),
         ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}], "fixed": {},
@@ -851,7 +874,7 @@ class TestCommandLine:
          "outputs must be a list of column names, got 't_fwd'"),
         ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}], "fixed": {},
           "point_cap": "many"},
-         "point_cap must be an integer, got 'many'"),
+         "point_cap must be a whole number >= 1, got 'many'"),
         ({"params": {"omega": 0.1}, "convergence_check": "false"},
          "convergence_check must be true or false, got 'false'"),
         ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}], "fixed": {},
@@ -874,10 +897,16 @@ class TestCommandLine:
           "fixed": {"omega": "0.1"}},
          "parameter 'omega' must be a number, got '0.1'"),
         ({"params": {"omega": 0.1}, "dims": "3"},
-         "dims must be >= 1 and whole numbers, got '3'"),
+         "dims must be a whole number >= 1, got '3'"),
         ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}], "fixed": {},
           "dims": "3"},
-         "dims must be >= 1 and whole numbers, got '3'"),
+         "dims must be a whole number >= 1, got '3'"),
+        # a field given directly and through its shorthand
+        ({"params": {"delta": 0.5, "delta_a": 1.0}},
+         "parameters 'delta' and 'delta_a' both set 'delta_a'"),
+        ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}],
+          "fixed": {"u_a": 5.0, "u": 4.0}},
+         "parameters 'u_a' and 'u' both set 'u_a'"),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"

@@ -47,7 +47,8 @@ class TestSpaces:
 
     @pytest.mark.parametrize("dims", [(3.7, 1, 3), ("4", 4, 4), (True, 2), (3, None)])
     def test_composite_rejects_non_integral_dims(self, dims):
-        with pytest.raises(InvalidDimensionError, match="whole numbers"):
+        message = r"^mode_dims\[\d\] must be a whole number >= 1, got "
+        with pytest.raises(InvalidDimensionError, match=message):
             CompositeSpace(dims)
 
     def test_composite_normalizes_integral_dims(self):

@@ -549,6 +549,29 @@ class TestSteadyState:
             with pytest.raises(ValueError):
                 SteadyStateOptions(residual_tol=tol)
 
+    @pytest.mark.parametrize("method, expected", [
+        (SteadyStateMethod.TRACE_CONSTRAINED, SteadyStateMethod.TRACE_CONSTRAINED),
+        ("trace-constrained", SteadyStateMethod.TRACE_CONSTRAINED),
+        ("null-space", SteadyStateMethod.NULL_SPACE),
+    ])
+    def test_method_takes_the_enum_or_its_value(self, method, expected):
+        assert SteadyStateOptions(method=method).method is expected
+        a = annihilation(4)
+        liouv = build_liouvillian(0.1 * (a + a.dag()), [a])
+        rho = steady_state(liouv, SteadyStateOptions(method=method))
+        assert rho.diagnostics.method == expected.value
+
+    @pytest.mark.parametrize("method", ["bogus", "TRACE_CONSTRAINED", None, 0])
+    def test_unknown_method_refused(self, method):
+        with pytest.raises(ValueError, match="is not a valid SteadyStateMethod"):
+            SteadyStateOptions(method=method)
+
+    @pytest.mark.parametrize("hermitize", ["no", "false", 0, 1, None, np.bool_(True)])
+    def test_hermitize_must_be_a_bool(self, hermitize):
+        with pytest.raises(ValueError) as exc:
+            SteadyStateOptions(hermitize=hermitize)
+        assert str(exc.value) == f"hermitize must be true or false, got {hermitize!r}"
+
     def test_residual_tol_stored_as_float(self):
         tol = SteadyStateOptions(residual_tol=1).residual_tol
         assert type(tol) is float and tol == 1.0

@@ -142,10 +142,10 @@ class TestPoissonReference:
         (float("inf"), 3, "mean must be a finite number"),
         (True, 3, "mean must be a number"),
         ("0.5", 3, "mean must be a number"),
-        (0.5, 2.5, "m_max must be an integer"),
-        (0.5, "3", "m_max must be an integer"),
-        (0.5, True, "m_max must be an integer"),
-        (0.5, -1, "m_max must be >= 0"),
+        (0.5, 2.5, "m_max must be a whole number >= 0, got 2.5"),
+        (0.5, "3", "m_max must be a whole number >= 0, got '3'"),
+        (0.5, True, "m_max must be a whole number >= 0, got True"),
+        (0.5, -1, "m_max must be a whole number >= 0, got -1"),
     ])
     def test_invalid_inputs_rejected(self, mean, m_max, message):
         with pytest.raises(ValueError, match=message):
