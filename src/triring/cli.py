@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -151,6 +152,8 @@ def params_to_dict(params: SystemParams) -> dict:
 def _parse_dims(value) -> tuple[int, ...]:
     if value is None:
         return DEFAULT_DIMS
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value.item()  # a 0-d array is the scalar it holds
     # any iterable but a string gives one entry per mode; a scalar, all three
     if not isinstance(value, Iterable) or isinstance(value, (str, bytes)):
         return (_whole_number(value, "dims", ConfigError, minimum=1),) * 3
@@ -643,11 +646,6 @@ def two_cavity_params(**overrides) -> SystemParams:
     return baseline_params(j_ab=0.0, j_bc=0.0, kappa_b=0.0, **overrides)
 
 
-def _two_cavity_dims(dims: tuple[int, ...]) -> tuple[int, ...]:
-    # the decoupled bridge mode stays in vacuum exactly; one level suffices
-    return (dims[0], 1, dims[2])
-
-
 # named grids and column sets shared by the scenario table
 _DELTA_101 = Axis("delta", -3.0, 3.0, 101)
 _DELTA_61 = Axis("delta", -3.0, 3.0, 61)
@@ -659,48 +657,27 @@ _THETA_81 = Axis("theta", 0.0, math.pi, 81)
 _T_COLUMNS = ("t_fwd", "t_bwd", "isolation")
 _G2_COLUMNS = ("g2_fwd", "g2_bwd", "ratio")
 
-# scenario name -> the sweeps it writes, in order, as (file basename, axes,
-# output columns).  Only names are stored here: run_sweep and emit_sweep are
-# looked up on the module at call time, so they can be replaced from outside.
-_SCENARIO_SWEEPS = {
-    "fig2a": [("fig2a", (_DELTA_101,), _T_COLUMNS)],
-    "fig2b": [("fig2b", (_KAPPA_B_0_1, _DELTA_101), _T_COLUMNS)],
-    "fig2c": [
-        ("fig2c", (_DELTA_61, _KAPPA_B_41), _T_COLUMNS),
-        ("fig2c_inset", (_KAPPA_B_81,), _T_COLUMNS),
-    ],
-    "fig2d": [("fig2d", (_DELTA_101,), _G2_COLUMNS)],
-    "fig2e": [("fig2e", (_KAPPA_B_0_1, _DELTA_101), _G2_COLUMNS)],
-    "fig2f": [
-        ("fig2f", (_DELTA_61, _KAPPA_B_41), _G2_COLUMNS),
-        ("fig2f_inset", (_KAPPA_B_81,), _G2_COLUMNS),
-    ],
-    "fig3": [("fig3ab", (_KAPPA_B_81,), ("g2_fwd", "g2_bwd", "g3_fwd", "g3_bwd", "ratio"))],
-    "fig4": [
-        ("fig4", (_KAPPA_B_81,),
-         ("p1_fwd", "p2_fwd", "p3_fwd", "p1_bwd", "p2_bwd", "p3_bwd")),
-    ],
-    "fig5a": [("fig5a", (_THETA_61, _KAPPA_B_41), _T_COLUMNS)],
-    "fig5b": [("fig5b", (_THETA_61, _KAPPA_B_41), _G2_COLUMNS)],
-    "fig5c": [
-        ("fig5c", (_THETA_81,),
-         ("t_fwd", "t_bwd", "g2_fwd", "g2_bwd", "isolation", "ratio")),
-    ],
-}
-# scenarios on two_cavity_params() with _two_cavity_dims(); the rest use
-# baseline_params() at the requested dims
-_TWO_CAVITY_SCENARIOS = {"fig2a", "fig2d"}
+
+# the sweep points scenario() has solved with an evaluator, kept across calls
+# because scenarios share grids (fig2a/fig2d, fig3/fig4, ...).  It is asked
+# for with the module's current run_point, so a different one, such as a fake
+# or a timing wrapper, gets a new, empty memo and no evaluator is given
+# another's results.  Points at different dims have different keys.
+@functools.lru_cache(maxsize=1)
+def _point_memo(evaluator) -> dict:
+    return {}
 
 
-def _fig3c_table(out, dims, formats):
-    # panel (c): photon distributions against their Poisson references at
-    # the two highlighted bridge losses, for both drive directions
+def _fig3c_table(specs: list[SweepSpec]) -> tuple:
+    """Panel (c): photon distributions against their Poisson references at
+    two bridge losses of the fig3ab grid, both drive directions.  A point
+    the memo lacks or flags is solved again with ``strict``, so it raises."""
+    (fig3ab,) = specs
     columns = ["kappa_b", "drive", "output_mode", "m", "p_m", "poisson_m", "deviation"]
     rows = []
     for kappa_b in (1.0, 1.25):
-        # both are fig3ab grid points; a flagged one is solved again to raise
-        key = (baseline_params(kappa_b=kappa_b), dims, "both", False)
-        result = _scenario_point_memo().get(key)
+        key = _point_key(fig3ab, (kappa_b,))
+        result = _point_memo(run_point).get(key)
         if result is None or result.error_fwd or result.error_bwd:
             result = run_point(*key, strict=True)
         for drive, mode_label, dist, n_out in (
@@ -710,11 +687,11 @@ def _fig3c_table(out, dims, formats):
             ref = poisson_reference(n_out, len(dist) - 1)
             for m, (p, q) in enumerate(zip(dist, ref)):
                 rows.append([kappa_b, drive, mode_label, m, p, float(q), p - float(q)])
-    extra = {"dims": list(dims), "fixed": params_to_dict(baseline_params())}
-    return emit_table(out, "fig3c", columns, rows, extra, formats)
+    extra = {"dims": list(fig3ab.dims), "fixed": params_to_dict(fig3ab.fixed)}
+    return "fig3c", columns, rows, extra
 
 
-def _smatrix_check_table(out, dims, formats):
+def _smatrix_check_table(specs: list[SweepSpec]) -> tuple:
     """Closed-form transmissions against the numerically inverted network.
 
     Port losses deliberately differ from 1 so the two trailing-loss-factor
@@ -748,11 +725,10 @@ def _smatrix_check_table(out, dims, formats):
                 abs(s.forward - t_fwd), abs(s.backward - t_bwd),
                 s_gamma.forward, abs(s_gamma.forward - t_fwd),
             ])
-    extra = {"model": dataclasses.asdict(base)}
-    return emit_table(out, "smatrix_check", columns, rows, extra, formats)
+    return "smatrix_check", columns, rows, {"model": dataclasses.asdict(base)}
 
 
-def _conditions_check_table(out, dims, formats):
+def _conditions_check_table(specs: list[SweepSpec]) -> tuple:
     """Verify the complete-transmission working points through the S-matrix."""
     columns = [
         "theta", "direction", "delta", "j_ac", "effective_theta", "phase_folded",
@@ -778,48 +754,64 @@ def _conditions_check_table(out, dims, formats):
                 abs(s.forward - targets[0]), abs(s.backward - targets[1]),
                 amp, phase,
             ])
-    return emit_table(out, "conditions_check", columns, rows, {"kappa": 1.0}, formats)
+    return "conditions_check", columns, rows, {"kappa": 1.0}
 
 
-# tables a scenario writes after its sweeps, built by (out_dir, dims, formats)
-_SCENARIO_TABLES = {
-    "fig3": _fig3c_table,
-    "smatrix-check": _smatrix_check_table,
-    "conditions-check": _conditions_check_table,
+# scenario name -> (fixed parameters, the sweeps it writes in order as (file
+# basename, axes, output columns), and the builder of the table it writes
+# after them or None).  A builder takes the scenario's sweep specs (none for
+# the two checks) and returns (basename, columns, rows, manifest extra).
+# Only names are stored here: run_point, run_sweep, emit_sweep and emit_table
+# are looked up on the module at call time, so they can be replaced from
+# outside.
+_SCENARIOS = {
+    "fig2a": (two_cavity_params(), [("fig2a", (_DELTA_101,), _T_COLUMNS)], None),
+    "fig2b": (baseline_params(), [("fig2b", (_KAPPA_B_0_1, _DELTA_101), _T_COLUMNS)], None),
+    "fig2c": (baseline_params(), [
+        ("fig2c", (_DELTA_61, _KAPPA_B_41), _T_COLUMNS),
+        ("fig2c_inset", (_KAPPA_B_81,), _T_COLUMNS),
+    ], None),
+    "fig2d": (two_cavity_params(), [("fig2d", (_DELTA_101,), _G2_COLUMNS)], None),
+    "fig2e": (baseline_params(), [("fig2e", (_KAPPA_B_0_1, _DELTA_101), _G2_COLUMNS)], None),
+    "fig2f": (baseline_params(), [
+        ("fig2f", (_DELTA_61, _KAPPA_B_41), _G2_COLUMNS),
+        ("fig2f_inset", (_KAPPA_B_81,), _G2_COLUMNS),
+    ], None),
+    "fig3": (baseline_params(), [
+        ("fig3ab", (_KAPPA_B_81,), ("g2_fwd", "g2_bwd", "g3_fwd", "g3_bwd", "ratio")),
+    ], _fig3c_table),
+    "fig4": (baseline_params(), [
+        ("fig4", (_KAPPA_B_81,), ("p1_fwd", "p2_fwd", "p3_fwd", "p1_bwd", "p2_bwd", "p3_bwd")),
+    ], None),
+    "fig5a": (baseline_params(), [("fig5a", (_THETA_61, _KAPPA_B_41), _T_COLUMNS)], None),
+    "fig5b": (baseline_params(), [("fig5b", (_THETA_61, _KAPPA_B_41), _G2_COLUMNS)], None),
+    "fig5c": (baseline_params(), [
+        ("fig5c", (_THETA_81,), ("t_fwd", "t_bwd", "g2_fwd", "g2_bwd", "isolation", "ratio")),
+    ], None),
+    "smatrix-check": (None, [], _smatrix_check_table),
+    "conditions-check": (None, [], _conditions_check_table),
 }
-SCENARIO_NAMES = (*_SCENARIO_SWEEPS, "smatrix-check", "conditions-check")
-
-# (run_point, memo): the sweep points scenario() has solved in this process,
-# kept across calls because scenarios share grids (fig2a/fig2d, fig3/fig4,
-# ...).  A different run_point on the module, such as a fake or a timing
-# wrapper, starts a new memo, so no evaluator is given another's results.
-# Points at different dims have different keys and are kept side by side.
-_scenario_memo: tuple = (None, {})
-
-
-def _scenario_point_memo() -> dict:
-    global _scenario_memo
-    solver, memo = _scenario_memo
-    if solver is not run_point:
-        memo = {}
-        _scenario_memo = (run_point, memo)
-    return memo
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def _scenario_specs(name: str, dims) -> list[SweepSpec]:
-    """The sweeps of a named scenario, built (and so checked) but not run."""
-    if name not in SCENARIO_NAMES:
+    """The sweeps of a named scenario, built (and so checked) but not run.
+
+    Where the fixed parameters leave the bridge decoupled (``j_ab = j_bc =
+    0``; no sweep axis sets either coupling) it stays in vacuum exactly, so
+    it is cut to one level: the sweeps run at ``(d_a, 1, d_c)``.
+    """
+    if name not in _SCENARIOS:
         raise ConfigError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         )
     dims = _parse_dims(dims)
-    if name in _TWO_CAVITY_SCENARIOS:
-        fixed, sweep_dims = two_cavity_params(), _two_cavity_dims(dims)
-    else:
-        fixed, sweep_dims = baseline_params(), dims
+    fixed, sweeps, _ = _SCENARIOS[name]
+    if sweeps and fixed.j_ab == fixed.j_bc == 0:
+        dims = (dims[MODE_A], 1, dims[MODE_C])
     return [
-        SweepSpec(axes=axes, fixed=fixed, dims=sweep_dims, outputs=outputs, name=basename)
-        for basename, axes, outputs in _SCENARIO_SWEEPS.get(name, ())
+        SweepSpec(axes=axes, fixed=fixed, dims=dims, outputs=outputs, name=basename)
+        for basename, axes, outputs in sweeps
     ]
 
 
@@ -832,23 +824,25 @@ def scenario(
 ) -> list[Path]:
     """Emit the data files behind a named figure or consistency check.
 
-    Sweep points already solved by an earlier call in this process with the
-    same ``run_point`` are reused rather than solved again; the files
-    written are the same either way.  ``dims`` follows :func:`run_point`'s
-    rule and ``jobs`` :func:`run_sweep`'s.
+    The scenario's entry in ``_SCENARIOS`` gives its sweeps, each written
+    by ``emit_sweep``, and then its table, if any, written by
+    ``emit_table``.  Sweep points already solved by an earlier call in this
+    process with the same ``run_point`` are reused rather than solved
+    again; the files written are the same either way.  ``dims`` follows
+    :func:`run_point`'s rule and ``jobs`` :func:`run_sweep`'s.
     """
     specs = _scenario_specs(name, dims)
-    dims = _parse_dims(dims)
     # a bad count or format fails before any file is written
     _worker_count(jobs)
     _check_formats(formats)
     out_dir = Path(out_dir)
     files = []
     for spec in specs:
-        result = run_sweep(spec, jobs, memo=_scenario_point_memo())
+        result = run_sweep(spec, jobs, memo=_point_memo(run_point))
         files += emit_sweep(result, out_dir, formats=formats)
-    if name in _SCENARIO_TABLES:
-        files += _SCENARIO_TABLES[name](out_dir, dims, formats)
+    table = _SCENARIOS[name][2]
+    if table is not None:
+        files += emit_table(out_dir, *table(specs), formats)
     return files
 
 

@@ -52,6 +52,15 @@ def _whole_number(value, what: str, error: type[Exception], minimum: int = 0) ->
     return int(value)
 
 
+def _mode_index(mode, n_modes: int, error: type[Exception]) -> int:
+    """``mode`` as an int; ``error`` unless it is a whole number below
+    ``n_modes``.  Messages print the normalized index (1, not 1.0)."""
+    mode = _whole_number(mode, "mode index", error)
+    if mode >= n_modes:
+        raise error(f"mode index {mode} out of range for {n_modes} modes")
+    return mode
+
+
 def _flag(value, what: str, error: type[Exception]) -> bool:
     """``value`` itself; ``error`` naming ``what`` unless it is a bool."""
     # bool() would turn the string "false" into True
@@ -223,11 +232,7 @@ def embed(op: Operator, mode_index: int, space: CompositeSpace) -> Operator:
         raise InvalidEmbeddingError(
             f"only single-mode operators can be embedded, got {op.space.n_modes} modes"
         )
-    mode_index = _whole_number(mode_index, "mode index", InvalidEmbeddingError)
-    if mode_index >= space.n_modes:
-        raise InvalidEmbeddingError(
-            f"mode index {mode_index} out of range for {space.n_modes} modes"
-        )
+    mode_index = _mode_index(mode_index, space.n_modes, InvalidEmbeddingError)
     if op.space.mode_dims[0] != space.mode_dims[mode_index]:
         raise InvalidEmbeddingError(
             f"operator dimension {op.space.mode_dims[0]} does not match "

@@ -148,11 +148,17 @@ class DensityMatrix:
         enforce: bool = True,
         diagnostics: SolveDiagnostics | None = None,
     ) -> "DensityMatrix":
-        """Wrap an array, optionally hermitizing and renormalizing the trace."""
+        """Wrap an array, optionally hermitizing and renormalizing the trace;
+        a trace that is not a finite number > 0 is refused, not divided by."""
         data = np.asarray(data, dtype=complex)
         if enforce:
             data = 0.5 * (data + data.conj().T)
-            data = data / np.trace(data).real
+            tr = np.trace(data).real
+            if not 0 < tr < np.inf:
+                raise NonPhysicalStateError(
+                    f"density matrix trace {tr:.3e} cannot be renormalized to one"
+                )
+            data = data / tr
         rho = cls(space, data, diagnostics)
         rho.validate()
         return rho
@@ -162,7 +168,10 @@ class DensityMatrix:
 
 
 def _check_state(data: np.ndarray) -> float:
-    """Check hermiticity, trace and positivity; return the smallest eigenvalue."""
+    """Check finiteness, hermiticity, trace and positivity; return the smallest eigenvalue."""
+    # every comparison below is false for nan, so nan would pass them all
+    if not np.isfinite(data).all():
+        raise NonPhysicalStateError("density matrix has non-finite entries")
     herm = float(np.abs(data - data.conj().T).max())
     if herm >= HERMITICITY_TOL:
         raise NonPhysicalStateError(
@@ -584,7 +593,8 @@ def evolve(
     Intentionally independent of :func:`build_liouvillian` so long-time
     integration can cross-check the direct steady-state solve.  The trace
     is renormalized whenever it drifts beyond 1e-12 in a step; a per-step
-    drift above 1e-6 aborts with :class:`StepTooLargeError`.
+    drift above 1e-6, or a trace that is not a number, aborts with
+    :class:`StepTooLargeError`.
     """
     dt = _finite_float(dt, "dt", ValueError)
     t_final = _finite_float(t_final, "t_final", ValueError)
@@ -621,7 +631,7 @@ def evolve(
         rho = rho + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tr = np.trace(rho).real
         drift = abs(tr - 1.0)
-        if drift > 1e-6:
+        if not drift <= 1e-6:  # a nan trace fails too
             raise StepTooLargeError(
                 f"trace drifted by {drift:.3e} in one step of size {h_step}; "
                 "reduce dt"

@@ -21,7 +21,7 @@ from .errors import (
     UndefinedRatioError,
     UndefinedTransmissionError,
 )
-from .fock import CompositeSpace, Operator, _finite_float, _whole_number
+from .fock import CompositeSpace, Operator, _finite_float, _mode_index, _whole_number
 from .lindblad import DensityMatrix
 from .model import MODE_A, MODE_C, DriveSide, SystemParams
 
@@ -65,9 +65,7 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     below the number of modes (else ``ValueError``)."""
     dims = rho.space.mode_dims
     n = len(dims)
-    keep = _whole_number(keep, "mode index", ValueError)
-    if keep >= n:
-        raise ValueError(f"mode index {keep} out of range for {n} modes")
+    keep = _mode_index(keep, n, ValueError)
     reshaped = rho.data.reshape(dims + dims)
     row = list(range(n))
     col = [i if i != keep else n for i in range(n)]
@@ -119,6 +117,7 @@ def correlation_g_n(rho: DensityMatrix, mode: int, n: int) -> float:
     modes, else ``ValueError``.
     """
     n = _whole_number(n, "correlation order", ValueError, minimum=1)
+    mode = _mode_index(mode, rho.space.n_modes, ValueError)
     p = photon_distribution(rho, mode)
     # there a^n = 0 on every state, so g^(n) would read 0 whatever the physics
     if p.size <= n:

@@ -38,3 +38,19 @@ def test_tracer_wraps_and_restores():
         assert triring.model.embed is not embed
     assert all(getattr(triring.cli, n) is f for n, f in before.items())
     assert triring.model.embed is embed
+
+
+def test_scenario_tables_are_traced_as_emits(tmp_path, monkeypatch):
+    # every table goes through the module's emit_table, which the tracer
+    # wraps, so a traced scenario run times and counts its table writes
+    from test_scenario_outputs import fake_run_point
+
+    tracing = load_tracing()
+    monkeypatch.setattr(triring.cli, "run_point", fake_run_point)
+    with tracing.Tracer() as tracer:
+        files = triring.cli.scenario("smatrix-check", tmp_path, dims=4, jobs=1)
+        files += triring.cli.scenario("fig3", tmp_path, dims=4, jobs=1)
+    emits = [span for span in tracer.spans if span[0] == "cli.emit"]
+    assert len(emits) == 3  # smatrix_check, fig3ab and fig3c
+    assert all(tracer.spans[parent][0] == "cli.scenario" for *_, parent in emits)
+    assert tracer.emitted_bytes == sum(path.stat().st_size for path in files)

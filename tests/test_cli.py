@@ -616,16 +616,14 @@ class TestRowTypes:
         self.assert_plain(run_sweep(spec, jobs=1).rows)
 
     @pytest.mark.parametrize("name", ["fig3c", "smatrix_check", "conditions_check"])
-    def test_table_rows(self, tmp_path, monkeypatch, name):
-        tables = {}
-
-        def capture(out_dir, basename, columns, rows, manifest_extra, formats):
-            tables[basename] = rows
-            return []
-
-        monkeypatch.setattr(cli, "emit_table", capture)
-        getattr(cli, f"_{name}_table")(tmp_path, (4, 3, 4), ("csv",))
-        self.assert_plain(tables[name])
+    def test_table_rows(self, name):
+        # each builder takes its scenario's sweep specs and returns its table
+        scenario_name = "fig3" if name == "fig3c" else name.replace("_", "-")
+        specs = cli._scenario_specs(scenario_name, (4, 3, 4))
+        basename, columns, rows, _ = getattr(cli, f"_{name}_table")(specs)
+        assert basename == name
+        assert all(len(row) == len(columns) for row in rows)
+        self.assert_plain(rows)
 
 
 class TestScenarios:
@@ -688,6 +686,13 @@ class TestConfigDocuments:
         assert load_point_config({"params": {}, "dims": dims})[1] == tuple(
             int(d) for d in dims
         )
+
+    @pytest.mark.parametrize("dims", [np.array(4), np.array(4.0), np.int64(4)])
+    def test_zero_dimensional_dims_are_a_scalar(self, dims):
+        # a 0-d array is iterable by type but not in fact
+        assert load_point_config({"params": {}, "dims": dims})[1] == (4, 4, 4)
+        with pytest.raises(ConfigError, match=r"^dims must be a whole number >= 1, got 0$"):
+            load_point_config({"params": {}, "dims": np.array(0)})
 
     def test_point_config_unknown_key(self):
         with pytest.raises(ConfigError):

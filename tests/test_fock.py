@@ -186,8 +186,10 @@ class TestEmbed:
             embed(annihilation(3), 0, CompositeSpace((2, 2)))
 
     def test_index_out_of_range(self):
-        with pytest.raises(InvalidEmbeddingError):
-            embed(annihilation(2), 2, CompositeSpace((2, 2)))
+        message = r"^mode index 2 out of range for 2 modes$"
+        for index in (2, 2.0, np.int64(2)):
+            with pytest.raises(InvalidEmbeddingError, match=message):
+                embed(annihilation(2), index, CompositeSpace((2, 2)))
 
     def test_multimode_operand_rejected(self):
         op = tensor(identity(2), identity(2))

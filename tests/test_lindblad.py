@@ -780,6 +780,22 @@ class TestDensityMatrix:
         with pytest.raises(NonPhysicalStateError):
             DensityMatrix.from_array(CompositeSpace((2,)), bad, enforce=False)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("enforce", [False, True])
+    def test_non_finite_entries_rejected(self, entry, enforce):
+        # every comparison with nan is false, so nan passed each check
+        bad = np.array([[entry, 0.0], [0.0, 1.0]], dtype=complex)
+        with np.errstate(all="ignore"), pytest.raises(NonPhysicalStateError):
+            DensityMatrix.from_array(CompositeSpace((2,)), bad, enforce=enforce)
+
+    @pytest.mark.parametrize("diagonal", [[0.0, 0.0], [0.5, -0.5], [-0.5, -0.5]])
+    def test_trace_that_cannot_be_renormalized_rejected(self, diagonal):
+        # a zero trace gave an all-nan "valid" state; a negative one would
+        # flip the matrix's sign
+        data = np.diag(diagonal).astype(complex)
+        with pytest.raises(NonPhysicalStateError, match="cannot be renormalized"):
+            DensityMatrix.from_array(CompositeSpace((2,)), data)
+
 
 class TestEvolve:
     def test_fock_state_decay(self):
@@ -823,6 +839,18 @@ class TestEvolve:
         rho0 = DensityMatrix.from_array(space, vacuum, enforce=False)
         with pytest.raises(StepTooLargeError):
             evolve(h, [annihilation(4)], rho0, t_final=5.0, dt=0.5)
+
+    def test_nan_trace_is_a_step_too_large(self):
+        # the trace is nan after the first step; the run went on and ended
+        # in a bare LinAlgError
+        space = CompositeSpace((3,))
+        a = annihilation(3).data
+        h = Operator(space, 1e200 * (a + a.conj().T))
+        rho0 = DensityMatrix.from_array(
+            space, np.diag([1.0, 0.0, 0.0]).astype(complex), enforce=False
+        )
+        with np.errstate(all="ignore"), pytest.raises(StepTooLargeError, match="nan"):
+            evolve(h, [], rho0, t_final=3.0, dt=1.0)
 
     def test_step_count_must_be_finite(self):
         rho0 = DensityMatrix.from_array(

@@ -94,8 +94,9 @@ class TestPartialTrace:
 
     def test_invalid_mode(self):
         rho = fock_density(CompositeSpace((2, 2)), (0, 0))
-        with pytest.raises(ValueError):
-            partial_trace(rho, 2)
+        for mode in (2, 2.0):
+            with pytest.raises(ValueError, match=r"^mode index 2 out of range for 2 modes$"):
+                partial_trace(rho, mode)
 
 
 class TestPhotonDistribution:
@@ -250,6 +251,16 @@ class TestCorrelations:
         assert correlation_g_n(rho, 0, 2) == 0.0
         with pytest.raises(InvalidDimensionError, match="more than 3 levels on mode 0"):
             correlation_g_n(rho, 0, 3)
+
+    def test_messages_name_the_normalized_mode(self):
+        # the mode is read as a whole number once, so 0.0 is printed as 0
+        rho = fock_density(CompositeSpace((2, 4)), (1, 0))
+        with pytest.raises(InvalidDimensionError, match=r"levels on mode 0, which"):
+            correlation_g_n(rho, 0.0, 2)
+        with pytest.raises(InsufficientPopulationError, match=r"^mode 1 occupation"):
+            correlation_g_n(rho, 1.0, 2)
+        with pytest.raises(ValueError, match=r"^mode index 2 out of range for 2 modes$"):
+            correlation_g_n(rho, 2.0, 2)
 
     def test_order_validation(self):
         rho = fock_density(CompositeSpace((4,)), (1,))
