@@ -177,11 +177,11 @@ def apply_axis(params: SystemParams, name: str, value: float) -> SystemParams:
     return dataclasses.replace(params, **dict.fromkeys(targets, value))
 
 
-_DIRECTIONS = {
-    "both": (DriveSide.LEFT, DriveSide.RIGHT),
-    "left": (DriveSide.LEFT,),
-    "right": (DriveSide.RIGHT,),
-}
+# the drive sides each ``directions`` value solves, the suffix of each
+# side's PointResult fields, and each mode's letter in field names
+_DIRECTIONS = {"both": tuple(DriveSide), **{s.value: (s,) for s in DriveSide}}
+_SUFFIX = {DriveSide.LEFT: "fwd", DriveSide.RIGHT: "bwd"}
+_MODE_NAMES = {MODE_A: "a", MODE_B: "b", MODE_C: "c"}
 
 
 def _point_args(dims, directions, convergence_check) -> tuple[tuple[int, ...], str, bool]:
@@ -201,12 +201,10 @@ def _solve_direction(params: SystemParams, dims: tuple[int, ...]) -> dict:
     h = build_hamiltonian(params, space)
     c_ops = collapse_operators(params, space)
     rho = steady_state(build_liouvillian(h, c_ops))
-    out_mode = MODE_C if params.drive is DriveSide.LEFT else MODE_A
+    out_mode = params.drive.output_mode
     values = {
         "residual": rho.diagnostics.residual,
-        "n_a": mean_occupation(rho, MODE_A),
-        "n_b": mean_occupation(rho, MODE_B),
-        "n_c": mean_occupation(rho, MODE_C),
+        **{f"n_{name}": mean_occupation(rho, mode) for mode, name in _MODE_NAMES.items()},
         "p_m": tuple(float(p) for p in photon_distribution(rho, out_mode)[:P_M_MAX]),
         **dict.fromkeys(("t", "g2", "g3", "error")),
     }
@@ -220,9 +218,6 @@ def _solve_direction(params: SystemParams, dims: tuple[int, ...]) -> dict:
     except InsufficientPopulationError as exc:
         values["error"] = str(exc)
     return values
-
-
-_SUFFIX = {DriveSide.LEFT: "fwd", DriveSide.RIGHT: "bwd"}
 
 
 def run_point(
@@ -396,9 +391,9 @@ class SweepSpec:
 
 
 def _value_columns(dims: tuple[int, ...], convergence_check: bool) -> list[str]:
-    # the truncation rule: p<m> needs more than m levels on the output mode
-    # and g<n> more than n, dims[c] for the forward side and dims[a] backward
-    levels = {"fwd": dims[MODE_C], "bwd": dims[MODE_A]}
+    # the truncation rule: p<m> needs more than m levels on a side's output
+    # mode and g<n> more than n
+    levels = {_SUFFIX[side]: dims[side.output_mode] for side in DriveSide}
     g_cols = [f"g{n}_{side}" for n in (2, 3) for side in levels if levels[side] > n]
     cols = [
         "t_fwd", "t_bwd", "isolation", *g_cols, "ratio",
@@ -417,7 +412,7 @@ def _point_row(axes_values, result: PointResult, columns) -> list:
     # one flat record: the result's fields plus p<m>_fwd/p<m>_bwd; a side
     # that failed or was not requested has no p<m> entries and gives None
     record = dict(vars(result))
-    for suffix in ("fwd", "bwd"):
+    for suffix in _SUFFIX.values():
         dist = getattr(result, f"p_m_{suffix}") or ()
         record.update((f"p{m}_{suffix}", p) for m, p in enumerate(dist))
     return [*axes_values, *(record.get(c) for c in columns[len(axes_values):])]
@@ -680,13 +675,12 @@ def _fig3c_table(specs: list[SweepSpec]) -> tuple:
         result = _point_memo(run_point).get(key)
         if result is None or result.error_fwd or result.error_bwd:
             result = run_point(*key, strict=True)
-        for drive, mode_label, dist, n_out in (
-            ("left", "c", result.p_m_fwd, result.n_c_fwd),
-            ("right", "a", result.p_m_bwd, result.n_a_bwd),
-        ):
-            ref = poisson_reference(n_out, len(dist) - 1)
+        for side in DriveSide:
+            suffix, mode = _SUFFIX[side], _MODE_NAMES[side.output_mode]
+            dist = getattr(result, f"p_m_{suffix}")
+            ref = poisson_reference(getattr(result, f"n_{mode}_{suffix}"), len(dist) - 1)
             for m, (p, q) in enumerate(zip(dist, ref)):
-                rows.append([kappa_b, drive, mode_label, m, p, float(q), p - float(q)])
+                rows.append([kappa_b, side.value, mode, m, p, float(q), p - float(q)])
     extra = {"dims": list(fig3ab.dims), "fixed": params_to_dict(fig3ab.fixed)}
     return "fig3c", columns, rows, extra
 

@@ -90,7 +90,7 @@ class InsufficientPopulationError(TriringError, ValueError):
 
 
 class UndefinedRatioError(TriringError, ValueError):
-    """The nonreciprocal ratio is undefined when both correlations vanish."""
+    """The nonreciprocal ratio is undefined: g2_fwd + g2_bwd is not positive."""
 
 
 class ResonanceSingularityError(TriringError, RuntimeError):

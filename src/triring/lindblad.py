@@ -195,8 +195,9 @@ class Superoperator:
     """Sparse D^2 x D^2 generator acting on column-stacked density matrices.
 
     ``components`` optionally keeps the (H, collapse operators) the
-    generator was assembled from; the steady-state solver uses them to
-    build a no-jump preconditioner and never needs them for correctness.
+    generator was assembled from.  The default steady-state method builds
+    its no-jump preconditioner from them and refuses a generator without
+    them (``NoConvergenceError``); only the null-space method does without.
     """
 
     space: CompositeSpace

@@ -53,10 +53,23 @@ WEAK_DRIVE_FRACTION = 0.5
 
 
 class DriveSide(Enum):
-    """Which port carries the probe laser."""
+    """Which port carries the probe laser: the one place that says which
+    mode a side drives and which mode it reads.  Driving left is the
+    forward direction (a -> c), driving right the backward one (c -> a)."""
 
-    LEFT = "left"    # drive cavity a, read the output at c
-    RIGHT = "right"  # drive cavity c, read the output at a
+    LEFT = "left"
+    RIGHT = "right"
+
+    @property
+    def driven_mode(self) -> int:
+        """The mode the drive term omega (d' + d) acts on: a or c."""
+        return MODE_A if self is DriveSide.LEFT else MODE_C
+
+    @property
+    def output_mode(self) -> int:
+        """The mode whose occupation gives T and whose g<n> are read: the
+        other port, c or a."""
+        return MODE_C if self is DriveSide.LEFT else MODE_A
 
 
 class TransmissionDirection(Enum):
@@ -179,7 +192,7 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
     H = delta_a n_a + delta_c n_c + delta_b n_b
         + u_a a'a'aa + u_c c'c'cc
         + (j_ac e^{i theta} a c' + j_ab a b' + j_bc c b' + h.c.)
-        + omega (d' + d),  d = a or c per the drive side.
+        + omega (d' + d),  d the drive side's ``driven_mode``.
 
     Terms with zero coefficient are skipped, so padded dimension-1 modes
     are legal as long as nothing couples to them.  The result is Hermitian
@@ -224,8 +237,7 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
         h += coupling + coupling.conj().T
 
     if params.omega != 0.0:
-        mode = MODE_A if params.drive is DriveSide.LEFT else MODE_C
-        dop = _lowering(space.mode_dims, mode).data
+        dop = _lowering(space.mode_dims, params.drive.driven_mode).data
         h += params.omega * (dop + dop.conj().T)
 
     return Operator(space, h)

@@ -1,8 +1,8 @@
 """Steady-state observables: transmissions, correlations, distributions.
 
 Transmission normalizes the output photon flux by the input power,
-T = kappa_a * kappa_c * <n_out> / omega^2, with the output mode picked by
-the drive side (drive a -> read c, drive c -> read a).  Correlation
+T = kappa_a * kappa_c * <n_out> / omega^2, read on the drive side's
+``output_mode`` (drive a -> read c, drive c -> read a).  Correlation
 functions are computed on intracavity operators; under the input-output
 relation the output-field correlators are identical.
 """
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fock import CompositeSpace, Operator, _finite_float, _mode_index, _whole_number
 from .lindblad import DensityMatrix
-from .model import MODE_A, MODE_C, DriveSide, SystemParams
+from .model import SystemParams
 
 __all__ = [
     "POPULATION_FLOOR",
@@ -99,7 +99,7 @@ def transmission(rho: DensityMatrix, params: SystemParams) -> float:
         raise UndefinedTransmissionError(
             "transmission is undefined at zero drive amplitude (division by omega^2)"
         )
-    out_mode = MODE_C if params.drive is DriveSide.LEFT else MODE_A
+    out_mode = params.drive.output_mode
     n_out = mean_occupation(rho, out_mode)
     _check_floor(n_out, out_mode, "T would read round-off")
     return float(params.kappa_a * params.kappa_c * n_out / params.omega**2)
@@ -162,11 +162,12 @@ def isolation(t_fwd: float, t_bwd: float) -> float:
 
 
 def nonreciprocal_ratio(g2_fwd: float, g2_bwd: float) -> float:
-    """Normalized contrast |(g2_fwd - g2_bwd) / (g2_fwd + g2_bwd)| in [0, 1]."""
+    """Normalized contrast |(g2_fwd - g2_bwd) / (g2_fwd + g2_bwd)| in [0, 1],
+    defined where the sum is positive (round-off can make a g2 negative)."""
     total = g2_fwd + g2_bwd
     if total <= 0:
         raise UndefinedRatioError(
-            "nonreciprocal ratio is undefined when both correlations vanish"
+            f"nonreciprocal ratio is undefined: g2_fwd + g2_bwd = {total} is not positive"
         )
     return abs((g2_fwd - g2_bwd) / total)
 

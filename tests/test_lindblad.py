@@ -16,6 +16,7 @@ from triring import (
     DensityMatrix,
     DriveSide,
     InvalidDimensionError,
+    MODE_A,
     NoConvergenceError,
     NonPhysicalStateError,
     NonUniqueSteadyStateError,
@@ -30,6 +31,7 @@ from triring import (
     build_hamiltonian,
     build_liouvillian,
     collapse_operators,
+    correlation_g_n,
     evolve,
     number,
     steady_state,
@@ -761,6 +763,55 @@ class TestSteadyStateFailures:
             steady_state(driven_cavity())
         assert "exceeds bound" in str(exc.value)
         assert exc.value.residual > exc.value.bound > 0
+
+
+# The trace constraint replaces the diagonal row with the largest |L_kk|, which
+# leaves the constrained system ill-conditioned.  These are the gates of the
+# change that puts it on the vacuum row instead (ROADMAP item 1); that change
+# removes the marker.  With raises=AssertionError, a RuntimeWarning turned into
+# an error cannot pass as the expected failure.
+trace_row_gate = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: the trace replaces the largest-|L_kk| row",
+)
+
+
+class TestTraceRowConditioning:
+    @trace_row_gate
+    def test_one_ulp_of_the_generator_leaves_g3_in_place(self):
+        params = baseline_params(kappa_b=1.45, drive="right")
+        space = CompositeSpace((4, 4, 4))
+        liouv = build_liouvillian(
+            build_hamiltonian(params, space), collapse_operators(params, space)
+        )
+        g3 = correlation_g_n(steady_state(liouv), MODE_A, 3)
+        moves = []
+        for seed in range(4):
+            # the real part of one entry in ten moves one ulp up or down
+            rng = np.random.default_rng(seed)
+            data = liouv.data.copy()
+            picked = rng.random(data.nnz) < 0.1
+            towards = np.where(rng.random(np.count_nonzero(picked)) < 0.5, -np.inf, np.inf)
+            values = data.data[picked]
+            data.data[picked] = np.nextafter(values.real, towards) + 1j * values.imag
+            rho = steady_state(Superoperator(space, data, liouv.components))
+            moves.append(abs(correlation_g_n(rho, MODE_A, 3) - g3) / g3)
+        assert max(moves) < 1e-9
+
+    @trace_row_gate
+    def test_g3_at_its_converged_value(self):
+        # the converged g3 here is 3.31211e-4; the largest-|L_kk| row gives 2.0763e-4
+        result = run_point(baseline_params(kappa_b=1.70), dims=(5, 5, 5), directions="right")
+        assert result.g3_bwd == pytest.approx(3.31211e-4, rel=1e-6)
+
+    @trace_row_gate
+    def test_weak_drive_g2_at_its_limit(self):
+        # the reciprocal two-cavity point: both sides read the same g2, whose
+        # weak-drive limit is 0.01166456494, and the same T
+        result = run_point(two_cavity_params(omega=1e-5), dims=(3, 1, 3))
+        assert result.g2_fwd == pytest.approx(0.01166456494, rel=1e-6)
+        assert result.g2_bwd == pytest.approx(0.01166456494, rel=1e-6)
+        assert result.t_fwd == pytest.approx(result.t_bwd, rel=0, abs=1e-12)
 
 
 class TestDensityMatrix:

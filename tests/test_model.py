@@ -8,9 +8,12 @@ import triring.model as model
 from triring import (
     CompositeSpace,
     DegeneratePhaseError,
+    DensityMatrix,
     DriveSide,
     InvalidRateError,
     InvalidSpaceError,
+    MODE_A,
+    MODE_C,
     SystemParams,
     TransmissionDirection,
     UnsupportedAsymmetryError,
@@ -24,6 +27,7 @@ from triring import (
     number,
     optimal_condition,
     phase_matching_residual,
+    transmission,
 )
 
 SQ2 = math.sqrt(2) / 2
@@ -88,6 +92,28 @@ class TestSystemParams:
         message = r"^drive must be a DriveSide or one of \['left', 'right'\], got "
         with pytest.raises(InvalidRateError, match=message):
             SystemParams(omega=0.1, drive=drive)
+
+
+class TestDriveSide:
+    @pytest.mark.parametrize("side, driven, output", [
+        (DriveSide.LEFT, MODE_A, MODE_C),
+        (DriveSide.RIGHT, MODE_C, MODE_A),
+    ])
+    def test_driven_and_output_modes(self, side, driven, output):
+        assert (side.driven_mode, side.output_mode) == (driven, output)
+        # the drive term alone is omega (d' + d) on the driven mode
+        space = CompositeSpace((3, 2, 3))
+        params = SystemParams(omega=0.1, drive=side)
+        d = embed(annihilation(3), driven, space).data
+        assert np.array_equal(build_hamiltonian(params, space).data, 0.1 * (d + d.conj().T))
+        # transmission reads the output mode: one photon there with
+        # probability 0.01, and twice that in the driven mode
+        occupied = np.zeros(space.dim)
+        for mode, p in ((output, 0.01), (driven, 0.02)):
+            occupied[basis_index(space, tuple(int(m == mode) for m in range(3)))] = p
+        occupied[0] = 1.0 - occupied.sum()
+        rho = DensityMatrix.from_array(space, np.diag(occupied).astype(complex), enforce=False)
+        assert transmission(rho, params) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestHamiltonian:

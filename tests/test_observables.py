@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,5 +297,9 @@ class TestScalarMeasures:
             assert 0.0 <= nonreciprocal_ratio(f, b) <= 1.0
 
     def test_undefined_ratio(self):
-        with pytest.raises(UndefinedRatioError):
-            nonreciprocal_ratio(0.0, 0.0)
+        # the first pair is round-off the two-cavity point at (3, 1, 3) and
+        # omega = 1e-5 reads: neither g2 vanishes, their sum is negative
+        for g2_fwd, g2_bwd, total in ((5857.66, -6753.76, "-896.1000000000004"), (0.0, 0.0, "0.0")):
+            message = f"nonreciprocal ratio is undefined: g2_fwd + g2_bwd = {total} is not positive"
+            with pytest.raises(UndefinedRatioError, match=f"^{re.escape(message)}$"):
+                nonreciprocal_ratio(g2_fwd, g2_bwd)
