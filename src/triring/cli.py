@@ -27,7 +27,6 @@ import os
 import sys
 import time
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,7 +68,7 @@ from .scattering import (
     scattering_matrix,
     transmission_closed_form,
 )
-from .model import MODE_A, MODE_B, MODE_C, phase_matching_residual
+from .model import MODE_A, MODE_B, MODE_C, _check_levels, phase_matching_residual
 
 __all__ = [
     "Axis",
@@ -240,6 +239,7 @@ def run_point(
     """
     dims, directions, convergence_check = _point_args(dims, directions, convergence_check)
     _flag(strict, "strict", ConfigError)
+    _check_levels(params, dims, _DIRECTIONS[directions], ConfigError)
     fields: dict = {}
     resolve_notes = []
     for side in _DIRECTIONS[directions]:
@@ -340,6 +340,9 @@ class SweepSpec:
         checked = _point_args(self.dims, self.directions, self.convergence_check)
         for field, value in zip(("dims", "directions", "convergence_check"), checked):
             object.__setattr__(self, field, value)
+        # an axis takes a nonzero value somewhere, since start != stop
+        swept = {t for ax in self.axes for t in _SHORTHAND.get(ax.name, (ax.name,))}
+        _check_levels(self.fixed, self.dims, _DIRECTIONS[self.directions], ConfigError, swept)
         point_cap = _whole_number(self.point_cap, "point_cap", ConfigError, minimum=1)
         object.__setattr__(self, "point_cap", point_cap)
         # the name is the basename of the files a sweep writes into its
@@ -485,8 +488,10 @@ def run_sweep(
     missing = [key for key in dict.fromkeys(keys) if key not in memo]
     if jobs > 1 and len(missing) > 1:
         # loaded once here, so forked workers inherit it instead of each
-        # importing it on its first point
+        # importing it on its first point; the pool machinery is loaded
+        # only by a sweep that uses it
         import scipy.sparse.linalg  # noqa: F401
+        from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             solved = pool.map(_sweep_worker, missing, chunksize=8)
@@ -853,9 +858,11 @@ def load_point_config(doc: dict) -> tuple[SystemParams, tuple[int, ...], str, bo
     if "params" not in doc:
         raise ConfigError("point config needs a 'params' object")
     params = params_from_dict(doc["params"])
-    return params, *_point_args(
+    dims, directions, convergence_check = _point_args(
         doc.get("dims"), doc.get("directions", "both"), doc.get("convergence_check", False)
     )
+    _check_levels(params, dims, _DIRECTIONS[directions], ConfigError)
+    return params, dims, directions, convergence_check
 
 
 def load_sweep_spec(doc: dict) -> SweepSpec:

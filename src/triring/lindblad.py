@@ -194,15 +194,17 @@ def _check_state(data: np.ndarray) -> float:
 class Superoperator:
     """Sparse D^2 x D^2 generator acting on column-stacked density matrices.
 
-    ``components`` optionally keeps the (H, collapse operators) the
-    generator was assembled from.  The default steady-state method builds
-    its no-jump preconditioner from them and refuses a generator without
-    them (``NoConvergenceError``); only the null-space method does without.
+    ``components`` optionally keeps the no-jump generator H_eff = H -
+    (i/2) sum_k C_k'C_k, an :class:`Operator`; :func:`build_liouvillian`
+    forms it from the C_k'C_k of its assembly.  The default steady-state
+    method eigendecomposes it for its no-jump preconditioner and refuses a
+    generator without it (``NoConvergenceError``); only the null-space
+    method does without.
     """
 
     space: CompositeSpace
     data: sp.csr_matrix = field(repr=False)
-    components: tuple[Operator, tuple[Operator, ...]] | None = field(
+    components: Operator | None = field(
         default=None, compare=False, repr=False
     )
 
@@ -297,6 +299,10 @@ def build_liouvillian(hamiltonian: Operator, c_ops: list[Operator]) -> Superoper
     On other operators it has that chain's structure and nonzero
     components, but a component that ends exactly zero may differ in sign.
 
+    Each C's conj(C) and C'C are formed once.  The same C'C, made dense,
+    gives H_eff = H - 0.5j C'C, subtracted in list order, which the result
+    keeps in ``components`` for the no-jump preconditioner.
+
     The terms are added on the union of their positions, which depends only
     on D and the sparsity patterns of H, C and C'C; a sweep does not change
     them.  The four unions used last are kept in one least-recently-used
@@ -316,11 +322,14 @@ def build_liouvillian(hamiltonian: Operator, c_ops: list[Operator]) -> Superoper
     n = d * d
     eye = sp.identity(d, format="csr", dtype=complex)
     h = sp.csr_matrix(hamiltonian.data)
+    heff = hamiltonian.data.astype(complex, copy=True)
     terms = [(eye, h, -1j), (h.T, eye, 1j)]
     for op in c_ops:
         c = sp.csr_matrix(op.data)
-        cdc = (c.conj().T @ c).tocsr()
-        terms += [(c.conj(), c, 1), (eye, cdc, -0.5), (cdc.T, eye, -0.5)]
+        c_conj = c.conj()
+        cdc = (c_conj.T @ c).tocsr()
+        heff -= 0.5j * cdc.toarray()
+        terms += [(c_conj, c, 1), (eye, cdc, -0.5), (cdc.T, eye, -0.5)]
     indptr, indices, positions = _structure(n, terms)
 
     # each term is formed only when it is added, to bound the memory held
@@ -334,7 +343,7 @@ def build_liouvillian(hamiltonian: Operator, c_ops: list[Operator]) -> Superoper
         values, indices = values[keep], indices[keep]
         indptr = np.concatenate(([0], np.cumsum(keep)))[indptr].astype(np.int32)
     liouv = sp.csr_matrix((values, indices, indptr), shape=(n, n))
-    return Superoperator(space, liouv, (hamiltonian, tuple(c_ops)))
+    return Superoperator(space, liouv, Operator(space, heff))
 
 
 def _trace_vector(dim: int) -> np.ndarray:
@@ -427,28 +436,23 @@ def _constrained_system(liouv: Superoperator):
 def _no_jump_preconditioner(liouv: Superoperator):
     """Exact inverse of the no-jump generator as a LinearOperator.
 
-    With H_eff = H - (i/2) sum_k C_k'C_k diagonalized as V diag(lam) V^-1,
-    the no-jump part L0(rho) = -i (H_eff rho - rho H_eff') inverts in a few
-    dense D x D products: rho = V [ (V^-1 B V^-dag) / (-i (lam_i -
-    conj(lam_j))) ] V'.  Near-zero denominators (undamped pairs) are
-    clamped, which only weakens the preconditioner, never the solution.
+    With the generator's H_eff = H - (i/2) sum_k C_k'C_k, kept in its
+    ``components``, diagonalized as V diag(lam) V^-1, the no-jump part
+    L0(rho) = -i (H_eff rho - rho H_eff') inverts in a few dense D x D
+    products: rho = V [ (V^-1 B V^-dag) / (-i (lam_i - conj(lam_j))) ] V'.
+    Near-zero denominators (undamped pairs) are clamped, which only
+    weakens the preconditioner, never the solution.
     Raises ``NoConvergenceError`` naming the preconditioner step when the
-    generator carries no H and collapse operators, or when H_eff has no
-    usable eigendecomposition.
+    generator carries no H_eff, or when H_eff has no usable
+    eigendecomposition.  No C_k'C_k is formed here.
     """
     import scipy.sparse.linalg as spla
 
     if liouv.components is None:
-        raise _no_convergence(
-            liouv.dim, "preconditioner (the generator carries no H and collapse operators)"
-        )
-    hamiltonian, c_ops = liouv.components
+        raise _no_convergence(liouv.dim, "preconditioner (the generator carries no H_eff)")
     d = liouv.space.dim
-    heff = hamiltonian.data.astype(complex, copy=True)
-    for op in c_ops:
-        heff -= 0.5j * (op.data.conj().T @ op.data)
     try:
-        lam, v = np.linalg.eig(heff)
+        lam, v = np.linalg.eig(liouv.components.data)
         v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError as exc:
         raise _no_convergence(

@@ -186,6 +186,38 @@ def _lowering(mode_dims: tuple[int, ...], mode: int) -> Operator:
     return op
 
 
+def _couplings(params: SystemParams) -> tuple:
+    """Each hop term coeff x y' as (parameter name, coeff, x, y)."""
+    return (
+        ("j_ac", params.j_ac * cmath.exp(1j * params.theta), MODE_A, MODE_C),
+        ("j_ab", params.j_ab, MODE_A, MODE_B),
+        ("j_bc", params.j_bc, MODE_C, MODE_B),
+    )
+
+
+def _check_levels(
+    params: SystemParams, mode_dims: tuple[int, ...], sides, error: type[Exception], swept=()
+) -> None:
+    """``error`` naming the parameter and the mode where a nonzero coupling
+    couples a one-level mode, or a drive side in ``sides`` drives one while
+    omega is nonzero.  A parameter named in ``swept`` counts as nonzero.
+    Detuning and Kerr terms vanish on one level, so they never conflict."""
+    acting = [
+        (name, (x, y)) for name, coeff, x, y in _couplings(params)
+        if coeff != 0.0 or name in swept
+    ]
+    if params.omega != 0.0 or "omega" in swept:
+        for side in sides:
+            acting.append((f"omega (drive {side.value!r})", (side.driven_mode,)))
+    for name, modes in acting:
+        for mode in modes:
+            if mode_dims[mode] == 1:
+                raise error(
+                    f"{name} acts on mode {'abc'[mode]}, which has one level at mode "
+                    f"dims {mode_dims}; a coupled or driven mode needs at least 2"
+                )
+
+
 def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
     """Rotating-frame Hamiltonian on the (a, b, c) composite space.
 
@@ -195,14 +227,17 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
         + omega (d' + d),  d the drive side's ``driven_mode``.
 
     Terms with zero coefficient are skipped, so padded dimension-1 modes
-    are legal as long as nothing couples to them.  The result is Hermitian
-    to exact floating-point equality because every non-diagonal term is
-    added together with its explicit adjoint.
+    are legal as long as nothing couples to them or drives them; a nonzero
+    coupling or drive on one is an :class:`InvalidSpaceError` naming the
+    parameter and the mode.  The result is Hermitian to exact
+    floating-point equality because every non-diagonal term is added
+    together with its explicit adjoint.
     """
     if space.n_modes != 3:
         raise InvalidSpaceError(
             f"the ring model needs exactly 3 modes (a, b, c), got {space.n_modes}"
         )
+    _check_levels(params, space.mode_dims, (params.drive,), InvalidSpaceError)
     d = space.dim
     h = np.zeros((d, d), dtype=complex)
 
@@ -224,11 +259,7 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
             h += coeff * (ad @ ad @ a @ a)
 
     coupling = np.zeros((d, d), dtype=complex)
-    for coeff, x, y in (
-        (params.j_ac * cmath.exp(1j * params.theta), MODE_A, MODE_C),
-        (params.j_ab, MODE_A, MODE_B),
-        (params.j_bc, MODE_C, MODE_B),
-    ):
+    for _, coeff, x, y in _couplings(params):
         if coeff != 0.0:
             x_op = _lowering(space.mode_dims, x).data
             y_op = _lowering(space.mode_dims, y).data

@@ -1,9 +1,9 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
 import math
 import re
-
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -152,6 +152,29 @@ class TestRunPoint:
         for strict in (True, False):
             with pytest.raises(ConfigError, match=message):
                 run_point(two_cavity_params(), dims=(3.7, 1, 3), strict=strict)
+
+    @pytest.mark.parametrize("params, dims, directions, shown", [
+        (baseline_params(), (4, 1, 4), "both", "j_ab acts on mode b"),
+        (two_cavity_params(j_ac=0.0), (1, 4, 4), "left", "omega (drive 'left') acts on mode a"),
+        (two_cavity_params(j_ac=0.0), (4, 4, 1), "both", "omega (drive 'right') acts on mode c"),
+    ])
+    def test_one_level_mode_refused_before_any_solve(
+        self, monkeypatch, params, dims, directions, shown
+    ):
+        monkeypatch.setattr(cli, "_solve_direction", None)
+        for strict in (True, False):
+            with pytest.raises(ConfigError) as exc:
+                run_point(params, dims=dims, directions=directions, strict=strict)
+            assert str(exc.value) == (
+                f"{shown}, which has one level at mode dims {dims}; "
+                "a coupled or driven mode needs at least 2"
+            )
+
+    def test_undriven_one_level_side_accepted(self):
+        # only the requested side's drive counts: right drives c, not a
+        result = run_point(two_cavity_params(j_ac=0.0), dims=(1, 3, 3), directions="right",
+                           strict=False)
+        assert result.error_bwd is not None and "occupation" in result.error_bwd
 
     @pytest.mark.parametrize("strict", ["false", "true", 0, 1, None])
     def test_strict_must_be_a_bool(self, monkeypatch, strict):
@@ -462,7 +485,7 @@ class TestSweepSpec:
                 dims=(3.7, 1, 3),
             )
         spec = SweepSpec(
-            axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(),
+            axes=(Axis("delta", -1, 1, 3),), fixed=two_cavity_params(),
             dims=[np.int64(3), 1.0, 3],
         )
         assert spec.dims == (3, 1, 3) and all(type(d) is int for d in spec.dims)
@@ -515,7 +538,7 @@ class TestSweepExecution:
                 workers.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         assert run_sweep(tiny_spec(), jobs=None).rows == run_sweep(tiny_spec(), jobs=1).rows
         assert workers == [2]
@@ -703,7 +726,7 @@ class TestConfigDocuments:
             {
                 "name": "demo",
                 "axes": [{"name": "delta", "start": -1, "stop": 1, "count": 5}],
-                "fixed": {"omega": 0.1, "j": 0.7},
+                "fixed": {"omega": 0.1, "j_ac": 0.7},
                 "dims": [3, 1, 3],
                 "outputs": ["t_fwd", "t_bwd"],
             }
@@ -711,6 +734,23 @@ class TestConfigDocuments:
         assert spec.name == "demo"
         assert spec.axes[0].count == 5
         assert spec.dims == (3, 1, 3)
+
+    @pytest.mark.parametrize("fixed, axis, directions, shown", [
+        ({"omega": 0.1}, "j_ac", "right", "j_ac acts on mode a"),
+        ({"omega": 0.0}, "omega", "left", "omega (drive 'left') acts on mode a"),
+        ({"omega": 0.1, "j_ab": 0.5}, "delta", "right", "j_ab acts on mode a"),
+    ])
+    def test_sweep_spec_one_level_coupled_mode_refused(self, fixed, axis, directions, shown):
+        # an axis is nonzero somewhere on its grid, whatever the fixed value
+        doc = {
+            "axes": [{"name": axis, "start": 0, "stop": 0.2, "count": 3}],
+            "fixed": fixed, "dims": [1, 3, 3], "directions": directions,
+        }
+        with pytest.raises(ConfigError, match="^" + re.escape(shown)):
+            load_sweep_spec(doc)
+        load_sweep_spec({**doc, "fixed": {"omega": 0.1}, "axes": [
+            {"name": "delta", "start": 0, "stop": 0.2, "count": 3}
+        ], "directions": "right"})
 
     def test_sweep_spec_defaults_come_from_sweep_spec(self):
         spec = load_sweep_spec({
@@ -755,7 +795,7 @@ class TestCommandLine:
         spec.write_text(json.dumps({
             "name": "cli_demo",
             "axes": [{"name": "delta", "start": -1, "stop": 1, "count": 2}],
-            "fixed": {"omega": 0.1, "j": 0.7, "u": 5.0},
+            "fixed": {"omega": 0.1, "j_ac": 0.7, "u": 5.0},
             "dims": [3, 1, 3],
         }))
         assert main(["sweep", str(spec), "--out", str(tmp_path), "--jobs", "1"]) == 0
@@ -770,11 +810,11 @@ class TestCommandLine:
         def no_pool(*args, **kwargs):
             raise AssertionError("the sweep built a process pool")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "axes": [{"name": "delta", "start": -1, "stop": 1, "count": 3}],
-            "fixed": {"omega": 0.1, "j": 0.7, "u": 5.0},
+            "fixed": {"omega": 0.1, "j_ac": 0.7, "u": 5.0},
             "dims": [3, 1, 3],
         }))
         assert main(["sweep", str(spec), "--out", str(tmp_path)]) == 0
@@ -925,7 +965,7 @@ class TestCommandLine:
         spec.write_text(json.dumps({
             "name": name,
             "axes": [{"name": "delta", "start": -1, "stop": 1, "count": 2}],
-            "fixed": {"omega": 0.1, "j": 0.7, "u": 5.0},
+            "fixed": {"omega": 0.1, "j_ac": 0.7, "u": 5.0},
             "dims": [3, 1, 3],
         }))
         message = "name must be a plain file name"
@@ -944,7 +984,7 @@ class TestCommandLine:
     def test_axis_entry_keys_are_exact(self, tmp_path, capsys, entry, keys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
-            "axes": [entry], "fixed": {"omega": 0.1, "j": 0.7, "u": 5.0}, "dims": [3, 1, 3],
+            "axes": [entry], "fixed": {"omega": 0.1, "j_ac": 0.7, "u": 5.0}, "dims": [3, 1, 3],
         }))
         message = f"axis entry keys must be ['count', 'name', 'start', 'stop'], got {keys}"
         assert main(["validate", str(spec)]) == 2
@@ -973,6 +1013,16 @@ class TestCommandLine:
         config.write_text(json.dumps({"params": {"width": 3}}))
         assert main(["validate", str(config)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "point"])
+    def test_one_level_coupled_bridge_is_a_config_error(self, tmp_path, capsys, command):
+        config = tmp_path / "point.json"
+        config.write_text(json.dumps({"params": {"omega": 0.1, "j_ab": 0.5}, "dims": [3, 1, 3]}))
+        assert main([command, str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: j_ab acts on mode b, which has one level at mode dims "
+            "(3, 1, 3); a coupled or driven mode needs at least 2\n"
+        )
 
     @pytest.mark.parametrize("text", ["3", "null", '"axes"', "[]"])
     def test_validate_rejects_a_document_that_is_not_an_object(self, tmp_path, capsys, text):
@@ -1111,7 +1161,7 @@ class TestPointMemo:
                 submitted.extend(iterables[0])
                 return super().map(fn, *iterables, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         parallel = run_sweep(spec, jobs=2, memo=memo)
         assert submitted == keys[2:]
         assert parallel.rows == serial.rows == run_sweep(spec, jobs=1).rows

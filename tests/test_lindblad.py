@@ -265,6 +265,23 @@ class TestAssembly:
     def test_ring_model_at_traffic_shapes(self, params, dims, drive):
         assert_ring_model_bits(dataclasses.replace(params, drive=drive), dims)
 
+    @pytest.mark.parametrize("drive", list(DriveSide))
+    @pytest.mark.parametrize("kappa_b", [0.0, 0.05, 1.0, 1.7])
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (5, 5, 5), (3, 4, 3), (4, 1, 4)])
+    def test_heff_equals_dense_rebuild(self, dims, kappa_b, drive):
+        # H_eff formed from the assembly's sparse C'C has the bits of the
+        # dense H - 0.5j C'C, subtracted in list order
+        base = two_cavity_params() if dims[1] == 1 else baseline_params()
+        params = dataclasses.replace(base, kappa_b=kappa_b, drive=drive)
+        space = CompositeSpace(dims)
+        h, c_ops = build_hamiltonian(params, space), collapse_operators(params, space)
+        want = h.data.astype(complex, copy=True)
+        for op in c_ops:
+            want -= 0.5j * (op.data.conj().T @ op.data)
+        heff = build_liouvillian(h, c_ops).components
+        assert heff.space == space
+        assert np.array_equal(heff.data.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("seed", range(50))
     def test_random_ring_model_params(self, seed):
         rng = np.random.default_rng(seed)
@@ -607,17 +624,25 @@ class TestSteadyState:
         space = CompositeSpace((3, 3, 3))
         h = build_hamiltonian(fig2_params, space)
         liouv = build_liouvillian(h, collapse_operators(fig2_params, space))
-        eigvalsh = np.linalg.eigvalsh
-        shapes = []
+        eigvalsh, eig = np.linalg.eigvalsh, np.linalg.eig
+        shapes, eigs = [], []
 
         def counting(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return eigvalsh(a, *args, **kwargs)
 
+        def counting_eig(a):
+            eigs.append(a)
+            return eig(a)
+
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
         opts = [None, SteadyStateOptions(method=SteadyStateMethod.NULL_SPACE)]
         states = [steady_state(liouv, o) for o in opts]
         assert shapes.count((space.dim, space.dim)) == len(opts)
+        # the preconditioner's one eig, of the generator's own H_eff; the
+        # null-space method takes none
+        assert len(eigs) == 1 and eigs[0] is liouv.components.data
         for rho in states:
             # the diagnostic describes the returned state itself
             assert rho.diagnostics.min_eigenvalue == eigvalsh(rho.data).min()
@@ -650,10 +675,9 @@ class TestSteadyStateFailures:
 
     def test_preconditioner_unavailable(self):
         liouv = driven_cavity()
-        bare = Superoperator(liouv.space, liouv.data)  # no (H, C_k) to build H_eff from
-        self.assert_preconditioner_failure(
-            bare, "the generator carries no H and collapse operators"
-        )
+        bare = Superoperator(liouv.space, liouv.data)  # the same L without its H_eff
+        assert bare.components is None
+        self.assert_preconditioner_failure(bare, "the generator carries no H_eff")
 
     @pytest.mark.parametrize("info, fill, shown", [
         (1, 0.0, r"info=1, finite=True"),
@@ -696,11 +720,9 @@ class TestSteadyStateFailures:
         space = CompositeSpace((2,))
         h = Operator(space, [[0, -0.5j], [0.5j, 0]])
         c = Operator(space, [[1, 1], [0, 0]])
-        heff = h.data - 0.5j * (c.data.conj().T @ c.data)
-        assert np.array_equal(heff, [[-0.5j, -1j], [0, -0.5j]])
-        self.assert_preconditioner_failure(
-            build_liouvillian(h, [c]), "eigenvectors of H_eff have cond"
-        )
+        liouv = build_liouvillian(h, [c])
+        assert np.array_equal(liouv.components.data, [[-0.5j, -1j], [0, -0.5j]])
+        self.assert_preconditioner_failure(liouv, "eigenvectors of H_eff have cond")
 
     def test_operator_type_error_propagates_from_one_gmres_call(self, monkeypatch):
         def broken(x):

@@ -138,6 +138,32 @@ class TestHamiltonian:
         with pytest.raises(InvalidSpaceError):
             build_hamiltonian(SystemParams(), CompositeSpace((3, 3)))
 
+    @pytest.mark.parametrize("params, dims, shown", [
+        (dict(j_ab=0.7), (4, 1, 4), "j_ab acts on mode b"),
+        (dict(j_bc=0.7), (4, 1, 4), "j_bc acts on mode b"),
+        (dict(j_ac=0.7), (1, 4, 4), "j_ac acts on mode a"),
+        (dict(j_ac=0.7), (4, 4, 1), "j_ac acts on mode c"),
+        (dict(omega=0.1), (1, 3, 3), "omega (drive 'left') acts on mode a"),
+        (dict(omega=0.1, drive="right"), (3, 3, 1), "omega (drive 'right') acts on mode c"),
+    ])
+    def test_coupled_or_driven_one_level_mode_refused(self, params, dims, shown):
+        # named before a ladder operator is built on the one level
+        with pytest.raises(InvalidSpaceError) as exc:
+            build_hamiltonian(SystemParams(**params), CompositeSpace(dims))
+        assert str(exc.value) == (
+            f"{shown}, which has one level at mode dims {dims}; "
+            "a coupled or driven mode needs at least 2"
+        )
+
+    def test_detuning_and_kerr_vanish_on_one_level(self):
+        # the two-cavity shape: the bridge keeps its detuning, nothing couples
+        # to it, and the undriven side may be one level too
+        params = SystemParams(delta_a=0.5, delta_b=0.5, delta_c=0.5, u_a=5.0, u_c=5.0,
+                              j_ac=0.0, omega=0.1, drive="right")
+        h = build_hamiltonian(params, CompositeSpace((1, 1, 4)))
+        assert h.data.shape == (4, 4)
+        assert build_hamiltonian(params, CompositeSpace((4, 1, 4))).data.shape == (16, 16)
+
     def test_drive_swap_changes_only_drive_term(self, fig2_params):
         space = CompositeSpace((4, 4, 4))
         import dataclasses

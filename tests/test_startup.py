@@ -1,5 +1,6 @@
-"""Start-up cost: commands that solve nothing load no scipy module, and
-no scenario loads scipy.special."""
+"""Start-up cost: commands that solve nothing load no scipy module,
+importing the CLI loads no process-pool module, and no scenario loads
+scipy.special."""
 
 import dataclasses
 import json
@@ -20,6 +21,9 @@ import triring
 import triring.cli
 from triring.cli import baseline_params, main, run_point, scenario
 
+# a serial process loads no process-pool machinery
+pool = sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
+
 out = Path(sys.argv[1])
 try:
     main(["--version"])
@@ -34,7 +38,9 @@ scenario("smatrix-check", out_dir=out)
 scenario("conditions-check", out_dir=out)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 result = run_point(baseline_params(), dims=(2, 2, 2))
-print(json.dumps({"scipy_before_solve": loaded, "result": dataclasses.asdict(result)}))
+print(json.dumps({
+    "pool_modules": pool, "scipy_before_solve": loaded, "result": dataclasses.asdict(result),
+}))
 """
 
 
@@ -53,6 +59,7 @@ def _run_child(script: str, *args: str) -> dict:
 
 def test_commands_that_solve_nothing_load_no_scipy(tmp_path):
     report = _run_child(_CHILD, str(tmp_path))
+    assert report["pool_modules"] == []
     assert report["scipy_before_solve"] == []
     # the first solve imports scipy and gives the same record, bit for bit:
     # json writes each float with the shortest repr that reads back exactly
