@@ -34,7 +34,6 @@ module attributes, so a patched attribute is the one that runs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import numbers
 from collections import OrderedDict
@@ -480,25 +479,11 @@ def _no_jump_preconditioner(liouv: Superoperator):
     return spla.LinearOperator((n, n), matvec=apply, dtype=complex)
 
 
-@functools.cache
-def _gmres_rtol_keyword() -> str:
-    """gmres's relative-tolerance keyword, chosen once, at the first solve.
-
-    scipy < 1.12 spells it 'tol'.  Read from scipy's version rather than
-    from the signature of ``gmres``, which a tracer or a test may have
-    replaced by a wrapper when the first solve runs.
-    """
-    import scipy
-
-    return "rtol" if np.lib.NumpyVersion(scipy.__version__) >= "1.12.0" else "tol"
-
-
 def _gmres(constrained, rhs, preconditioner, rtol):
     import scipy.sparse.linalg as spla
 
     return spla.gmres(
-        constrained, rhs, M=preconditioner, atol=0.0, restart=200, maxiter=5,
-        **{_gmres_rtol_keyword(): rtol},
+        constrained, rhs, M=preconditioner, atol=0.0, restart=200, maxiter=5, rtol=rtol
     )
 
 

@@ -735,23 +735,8 @@ class TestSteadyStateFailures:
         with pytest.raises(TypeError, match="^operator bug$"):
             lindblad._gmres(operator, np.ones(4, dtype=complex), None, rtol=1e-11)
         assert len(calls) == 1
-
-    @pytest.mark.parametrize("version, keyword", [
-        ("1.10.1", "tol"), ("1.11.4", "tol"), ("1.12.0", "rtol"), ("1.17.1", "rtol"),
-    ])
-    def test_gmres_tolerance_keyword_chosen_once_from_scipy_version(
-        self, monkeypatch, version, keyword
-    ):
-        import scipy
-
-        monkeypatch.setattr(scipy, "__version__", version)
-        lindblad._gmres_rtol_keyword.cache_clear()
-        try:
-            assert lindblad._gmres_rtol_keyword() == keyword
-            monkeypatch.setattr(scipy, "__version__", "1.11.0" if keyword == "rtol" else "1.13.0")
-            assert lindblad._gmres_rtol_keyword() == keyword
-        finally:
-            lindblad._gmres_rtol_keyword.cache_clear()
+        assert calls[0]["rtol"] == 1e-11
+        assert "tol" not in calls[0]
 
     @pytest.mark.parametrize("info, fill", [(1, 0.5), (-1, 0.5), (0, np.nan)])
     def test_failed_refinement_round_keeps_previous_iterate(self, monkeypatch, info, fill):
