@@ -443,7 +443,8 @@ def _no_jump_preconditioner(liouv: Superoperator):
     weakens the preconditioner, never the solution.
     Raises ``NoConvergenceError`` naming the preconditioner step when the
     generator carries no H_eff, or when H_eff has no usable
-    eigendecomposition.  No C_k'C_k is formed here.
+    eigendecomposition: ``eig`` or ``inv`` fails, or V has a 2-norm
+    condition number above 1e8.  No C_k'C_k is formed here.
     """
     import scipy.sparse.linalg as spla
 

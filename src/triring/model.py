@@ -187,7 +187,8 @@ def _lowering(mode_dims: tuple[int, ...], mode: int) -> Operator:
 
 
 def _couplings(params: SystemParams) -> tuple:
-    """Each hop term coeff x y' as (parameter name, coeff, x, y)."""
+    """Each hop term coeff y' x as (parameter name, coeff, x, y): x is the
+    mode the hop lowers, y the mode it raises."""
     return (
         ("j_ac", params.j_ac * cmath.exp(1j * params.theta), MODE_A, MODE_C),
         ("j_ab", params.j_ab, MODE_A, MODE_B),
@@ -223,8 +224,15 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
 
     H = delta_a n_a + delta_c n_c + delta_b n_b
         + u_a a'a'aa + u_c c'c'cc
-        + (j_ac e^{i theta} a c' + j_ab a b' + j_bc c b' + h.c.)
+        + (j_ac e^{i theta} c'a + j_ab b'a + j_bc b'c + h.c.)
         + omega (d' + d),  d the drive side's ``driven_mode``.
+
+    Each hop is formed lower-first, as coeff (y' @ x), and added with its
+    adjoint straight into H.  On the per-mode box the order changes no bit:
+    x and y act on different modes, so each hop entry receives one nonzero
+    product and overlaps no diagonal, drive or other hop entry.  In a basis
+    capped in total photon number it matters: raising first leaves the cap
+    and drops every hop out of the top manifold.
 
     Terms with zero coefficient are skipped, so padded dimension-1 modes
     are legal as long as nothing couples to them or drives them; a nonzero
@@ -238,8 +246,7 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
             f"the ring model needs exactly 3 modes (a, b, c), got {space.n_modes}"
         )
     _check_levels(params, space.mode_dims, (params.drive,), InvalidSpaceError)
-    d = space.dim
-    h = np.zeros((d, d), dtype=complex)
+    h = np.zeros((space.dim, space.dim), dtype=complex)
 
     # n and n(n-1) vanish identically on a dimension-1 (vacuum-only) mode,
     # so diagonal terms on padded modes are skipped along with zero terms
@@ -258,14 +265,13 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
             ad = a.conj().T
             h += coeff * (ad @ ad @ a @ a)
 
-    coupling = np.zeros((d, d), dtype=complex)
     for _, coeff, x, y in _couplings(params):
         if coeff != 0.0:
             x_op = _lowering(space.mode_dims, x).data
             y_op = _lowering(space.mode_dims, y).data
-            coupling += coeff * (x_op @ y_op.conj().T)
-    if params.j_ac != 0.0 or params.j_ab != 0.0 or params.j_bc != 0.0:
-        h += coupling + coupling.conj().T
+            hop = coeff * (y_op.conj().T @ x_op)
+            h += hop
+            h += hop.conj().T
 
     if params.omega != 0.0:
         dop = _lowering(space.mode_dims, params.drive.driven_mode).data

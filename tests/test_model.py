@@ -1,4 +1,6 @@
+import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +15,9 @@ from triring import (
     InvalidRateError,
     InvalidSpaceError,
     MODE_A,
+    MODE_B,
     MODE_C,
+    Operator,
     SystemParams,
     TransmissionDirection,
     UnsupportedAsymmetryError,
@@ -199,6 +203,96 @@ class TestHamiltonian:
         m = drift_matrix(from_system_params(params))
         hermitian_part = 0.5 * (m + m.conj().T)
         np.testing.assert_allclose(block, hermitian_part, atol=1e-12)
+
+
+def raise_first_hamiltonian(params, space):
+    """The raise-first, two-accumulator form of ``build_hamiltonian``, the
+    reference its lower-first form must match bit for bit.  Only the hops
+    differ: each is formed as coeff (x @ y') into its own matrix, which is
+    added once with its adjoint to the Hamiltonian of the same parameters
+    with every hop zeroed.  No hop entry overlaps a diagonal or drive entry,
+    so adding the hops last changes no bit."""
+    def lowering(mode):
+        return model._lowering(space.mode_dims, mode).data
+
+    no_hops = dataclasses.replace(params, j_ac=0.0, j_ab=0.0, j_bc=0.0)
+    h = build_hamiltonian(no_hops, space).data
+    coupling = np.zeros_like(h)
+    for _, coeff, x, y in model._couplings(params):
+        if coeff != 0.0:
+            coupling += coeff * (lowering(x) @ lowering(y).conj().T)
+    if params.j_ac != 0.0 or params.j_ab != 0.0 or params.j_bc != 0.0:
+        h = h + (coupling + coupling.conj().T)
+    return h
+
+
+def axis_end_hamiltonian_cases(fig2_params):
+    """(params, dims) at the ends of the scenarios' delta and theta axes,
+    both sides, on the shapes they use: the ring at dims 4 and 5 and the
+    two-cavity (d, 1, d) with the bridge uncoupled.  kappa_b, the third
+    axis, does not enter H."""
+    cases = []
+    for delta, theta, side in itertools.product((-3.0, 3.0), (0.0, math.pi), DriveSide):
+        params = dataclasses.replace(
+            fig2_params, delta_a=delta, delta_c=delta, delta_b=delta, theta=theta, drive=side
+        )
+        two_cavity = dataclasses.replace(params, j_ab=0.0, j_bc=0.0)
+        cases += [(params, (4, 4, 4)), (params, (5, 5, 5))]
+        cases += [(two_cavity, (4, 1, 4)), (two_cavity, (5, 1, 5))]
+    return cases
+
+
+def random_hamiltonian_cases():
+    """300 seeded random parameter sets on the scenarios' shapes and two
+    uneven ones; a coupling is zero one time in four, and the bridge is
+    never coupled where it has one level."""
+    rng = np.random.default_rng(20)
+    shapes = [(4, 4, 4), (5, 5, 5), (4, 1, 4), (5, 1, 5), (3, 4, 3), (2, 3, 2)]
+    cases = []
+    for k in range(300):
+        dims = shapes[k % len(shapes)]
+        j = rng.uniform(0.0, 2.0, 3) * (rng.random(3) > 0.25)
+        if dims[1] == 1:
+            j[:2] = 0.0
+        params = SystemParams(
+            delta_a=rng.uniform(-3, 3), delta_c=rng.uniform(-3, 3), delta_b=rng.uniform(-3, 3),
+            u_a=rng.uniform(-6, 6), u_c=rng.uniform(-6, 6),
+            j_ab=j[0], j_bc=j[1], j_ac=j[2], theta=rng.uniform(-math.pi, math.pi),
+            omega=rng.uniform(0.0, 0.5) * (rng.random() > 0.1),
+            drive=rng.choice(["left", "right"]),
+        )
+        cases.append((params, dims))
+    return cases
+
+
+class TestHopOrder:
+    @pytest.mark.parametrize("name, x, y", [
+        ("j_ac", MODE_A, MODE_C), ("j_ab", MODE_A, MODE_B), ("j_bc", MODE_C, MODE_B),
+    ], ids=["j_ac", "j_ab", "j_bc"])
+    def test_hops_formed_lower_first(self, monkeypatch, name, x, y):
+        # with operators that do not commute, c y'x and c x y' differ
+        space = CompositeSpace((3, 3, 3))
+        rng = np.random.default_rng(3)
+        ops = [
+            Operator(space, rng.normal(size=(27, 27)) + 1j * rng.normal(size=(27, 27)))
+            for _ in range(3)
+        ]
+        monkeypatch.setattr(model, "_lowering", lambda dims, mode: ops[mode])
+        params = SystemParams(**{name: 0.7}, theta=0.3)
+        coeff = 0.7 * cmath.exp(0.3j) if name == "j_ac" else 0.7
+        hop = coeff * (ops[y].data.conj().T @ ops[x].data)
+        h = build_hamiltonian(params, space).data
+        np.testing.assert_allclose(h, hop + hop.conj().T, rtol=1e-13, atol=1e-13)
+
+    def test_bits_match_raise_first_formula(self, fig2_params):
+        # on the per-mode box each hop entry is one product, so the order
+        # moves no bit; uint64 views make signed zeros count
+        cases = axis_end_hamiltonian_cases(fig2_params) + random_hamiltonian_cases()
+        for params, dims in cases:
+            space = CompositeSpace(dims)
+            h = build_hamiltonian(params, space).data
+            expected = raise_first_hamiltonian(params, space)
+            assert np.array_equal(h.view(np.uint64), expected.view(np.uint64)), (params, dims)
 
 
 class TestLadderOperators:
