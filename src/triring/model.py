@@ -227,6 +227,10 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
         + (j_ac e^{i theta} c'a + j_ab b'a + j_bc b'c + h.c.)
         + omega (d' + d),  d the drive side's ``driven_mode``.
 
+    The detuning and Kerr terms add s*s and ((s*r)*r)*s onto H's diagonal,
+    with s = sqrt(n), r = sqrt(n - 1) and n the occupation numbers: each
+    diagonal entry of a'a and a'a'aa is that one product, so the bits match.
+
     Each hop is formed lower-first, as coeff (y' @ x), and added with its
     adjoint straight into H.  On the per-mode box the order changes no bit:
     x and y act on different modes, so each hop entry receives one nonzero
@@ -234,12 +238,11 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
     capped in total photon number it matters: raising first leaves the cap
     and drops every hop out of the top manifold.
 
-    Terms with zero coefficient are skipped, so padded dimension-1 modes
-    are legal as long as nothing couples to them or drives them; a nonzero
-    coupling or drive on one is an :class:`InvalidSpaceError` naming the
-    parameter and the mode.  The result is Hermitian to exact
-    floating-point equality because every non-diagonal term is added
-    together with its explicit adjoint.
+    Padded dimension-1 modes are legal as long as nothing couples to them
+    or drives them (their n is 0); a nonzero coupling or drive on one is an
+    :class:`InvalidSpaceError` naming the parameter and the mode.  The
+    result is Hermitian to exact floating-point equality because every
+    non-diagonal term is added together with its explicit adjoint.
     """
     if space.n_modes != 3:
         raise InvalidSpaceError(
@@ -247,23 +250,18 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
         )
     _check_levels(params, space.mode_dims, (params.drive,), InvalidSpaceError)
     h = np.zeros((space.dim, space.dim), dtype=complex)
-
-    # n and n(n-1) vanish identically on a dimension-1 (vacuum-only) mode,
-    # so diagonal terms on padded modes are skipped along with zero terms
-    for coeff, mode in (
-        (params.delta_a, MODE_A),
-        (params.delta_b, MODE_B),
-        (params.delta_c, MODE_C),
+    diag = h.reshape(-1)[:: space.dim + 1]  # a writable view
+    n = np.indices(space.mode_dims).reshape(space.n_modes, -1)
+    s, r = np.sqrt(n), np.sqrt(np.maximum(n - 1, 0))
+    number, kerr = s * s, ((s * r) * r) * s  # n and n(n-1), as a'a and a'a'aa form them
+    for coeff, term in (
+        (params.delta_a, number[MODE_A]),
+        (params.delta_b, number[MODE_B]),
+        (params.delta_c, number[MODE_C]),
+        (params.u_a, kerr[MODE_A]),
+        (params.u_c, kerr[MODE_C]),
     ):
-        if coeff != 0.0 and space.mode_dims[mode] > 1:
-            a = _lowering(space.mode_dims, mode).data
-            h += coeff * (a.conj().T @ a)
-
-    for coeff, mode in ((params.u_a, MODE_A), (params.u_c, MODE_C)):
-        if coeff != 0.0 and space.mode_dims[mode] > 1:
-            a = _lowering(space.mode_dims, mode).data
-            ad = a.conj().T
-            h += coeff * (ad @ ad @ a @ a)
+        diag += coeff * term
 
     for _, coeff, x, y in _couplings(params):
         if coeff != 0.0:

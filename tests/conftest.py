@@ -1,8 +1,22 @@
+import os
+
+# one BLAS thread, as CI's env sets, before numpy loads: small dense
+# products slow down sharply when BLAS threads oversubscribe a loaded host
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 
 from triring import CompositeSpace, build_hamiltonian, build_liouvillian, collapse_operators, steady_state
 from triring.cli import baseline_params, run_point
+
+
+def pytest_configure(config):
+    # resolving this filter's category imports scipy, and with it numpy, so
+    # it is added here, after the pin above, rather than in pyproject.toml
+    # with the other filters, which pytest resolves before any conftest loads
+    config.addinivalue_line("filterwarnings", "error::scipy.sparse.SparseEfficiencyWarning")
 
 
 @pytest.fixture(scope="session")

@@ -205,18 +205,34 @@ class TestHamiltonian:
         np.testing.assert_allclose(block, hermitian_part, atol=1e-12)
 
 
-def raise_first_hamiltonian(params, space):
-    """The raise-first, two-accumulator form of ``build_hamiltonian``, the
-    reference its lower-first form must match bit for bit.  Only the hops
-    differ: each is formed as coeff (x @ y') into its own matrix, which is
-    added once with its adjoint to the Hamiltonian of the same parameters
-    with every hop zeroed.  No hop entry overlaps a diagonal or drive entry,
-    so adding the hops last changes no bit."""
+def dense_product_hamiltonian(params, space):
+    """``build_hamiltonian`` as dense products form it, the reference its
+    occupation-number diagonal and lower-first hops must match bit for bit.
+    The detuning and Kerr terms are a'a and a'a'aa evaluated left to right,
+    skipped where the coefficient is zero or the mode has one level; the
+    hops are raise-first, coeff (x @ y'), in a matrix of their own that is
+    added once with its adjoint.  Only the drive comes from
+    ``build_hamiltonian``, of the same parameters with every other term
+    zeroed.  No drive, hop or diagonal entry overlaps another, so the order
+    of the three changes no bit."""
     def lowering(mode):
         return model._lowering(space.mode_dims, mode).data
 
-    no_hops = dataclasses.replace(params, j_ac=0.0, j_ab=0.0, j_bc=0.0)
-    h = build_hamiltonian(no_hops, space).data
+    zeroed = dict.fromkeys(
+        ("delta_a", "delta_b", "delta_c", "u_a", "u_c", "j_ac", "j_ab", "j_bc"), 0.0
+    )
+    h = build_hamiltonian(dataclasses.replace(params, **zeroed), space).data
+    for coeff, mode in (
+        (params.delta_a, MODE_A), (params.delta_b, MODE_B), (params.delta_c, MODE_C),
+    ):
+        if coeff != 0.0 and space.mode_dims[mode] > 1:
+            a = lowering(mode)
+            h += coeff * (a.conj().T @ a)
+    for coeff, mode in ((params.u_a, MODE_A), (params.u_c, MODE_C)):
+        if coeff != 0.0 and space.mode_dims[mode] > 1:
+            a = lowering(mode)
+            ad = a.conj().T
+            h += coeff * (ad @ ad @ a @ a)
     coupling = np.zeros_like(h)
     for _, coeff, x, y in model._couplings(params):
         if coeff != 0.0:
@@ -284,15 +300,44 @@ class TestHopOrder:
         h = build_hamiltonian(params, space).data
         np.testing.assert_allclose(h, hop + hop.conj().T, rtol=1e-13, atol=1e-13)
 
-    def test_bits_match_raise_first_formula(self, fig2_params):
-        # on the per-mode box each hop entry is one product, so the order
-        # moves no bit; uint64 views make signed zeros count
-        cases = axis_end_hamiltonian_cases(fig2_params) + random_hamiltonian_cases()
+
+class TestOccupationNumberTerms:
+    def test_bits_match_dense_product_formula(self, fig2_params):
+        # each diagonal entry of a'a and a'a'aa is one product of sqrt(n)
+        # entries, and each hop entry one product, so neither the occupation
+        # numbers nor the hop order moves a bit; uint64 views make signed
+        # zeros count
+        signed_zeros = dataclasses.replace(
+            fig2_params, delta_a=-0.0, delta_b=-0.0, delta_c=-0.0, u_a=-0.0, j_ab=-0.0
+        )
+        cases = axis_end_hamiltonian_cases(fig2_params) + random_hamiltonian_cases() + [
+            (fig2_params, (6, 6, 6)),
+            (signed_zeros, (4, 4, 4)),
+            (dataclasses.replace(signed_zeros, u_c=-0.0, j_bc=-0.0, j_ac=-0.0), (4, 1, 4)),
+        ]
         for params, dims in cases:
             space = CompositeSpace(dims)
             h = build_hamiltonian(params, space).data
-            expected = raise_first_hamiltonian(params, space)
+            expected = dense_product_hamiltonian(params, space)
             assert np.array_equal(h.view(np.uint64), expected.view(np.uint64)), (params, dims)
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (4, 1, 4)])
+    def test_detuning_and_kerr_use_no_ladder_operator(self, monkeypatch, dims):
+        # the diagonal terms read occupation numbers alone, as a basis
+        # capped in total photon number would supply them; on (4, 1, 4)
+        # the bridge detuning sits on the one-level mode
+        def refuse(mode_dims, mode):
+            raise AssertionError(f"ladder operator of mode {mode} built")
+
+        monkeypatch.setattr(model, "_lowering", refuse)
+        params = SystemParams(delta_a=0.7, delta_b=-1.3, delta_c=0.4, u_a=5.0, u_c=-2.5)
+        space = CompositeSpace(dims)
+        h = build_hamiltonian(params, space).data
+        n = np.indices(dims).reshape(3, -1)
+        expected = (
+            0.7 * n[0] - 1.3 * n[1] + 0.4 * n[2] + 5.0 * n[0] * (n[0] - 1) - 2.5 * n[2] * (n[2] - 1)
+        )
+        np.testing.assert_allclose(h, np.diag(expected), rtol=1e-14, atol=1e-14)
 
 
 class TestLadderOperators:
