@@ -14,7 +14,6 @@ All energies and rates are expressed in one common unit; the port loss
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -28,7 +27,8 @@ from .errors import (
     InvalidSpaceError,
     UnsupportedAsymmetryError,
 )
-from .fock import CompositeSpace, Operator, _finite_float, annihilation, embed
+# embed is unused: bench/tracing.py wraps it, tests/test_bench_contract.py pins it
+from .fock import CompositeSpace, Operator, _finite_float, embed
 from .scattering import LinearModel
 
 __all__ = [
@@ -173,17 +173,15 @@ class OptimalCondition:
         )
 
 
-@functools.lru_cache(maxsize=12)
-def _lowering(mode_dims: tuple[int, ...], mode: int) -> Operator:
-    """The lowering operator of ``mode`` embedded in the space ``mode_dims``.
-
-    Shared by every caller, so its array is read-only.  Twelve entries
-    hold the three modes of four truncations (a sweep uses one, or two
-    under its convergence check).
-    """
-    op = embed(annihilation(mode_dims[mode]), mode, CompositeSpace(mode_dims))
-    op.data.setflags(write=False)
-    return op
+def _occupations(space: CompositeSpace) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Every basis state's occupation numbers, one row per mode (a, b, c),
+    and each mode's stride: lowering mode k maps state i to i - stride[k]."""
+    if space.n_modes != 3:
+        raise InvalidSpaceError(
+            f"the ring model needs exactly 3 modes (a, b, c), got {space.n_modes}"
+        )
+    dims = space.mode_dims
+    return np.indices(dims).reshape(3, -1), (dims[1] * dims[2], dims[2], 1)
 
 
 def _couplings(params: SystemParams) -> tuple:
@@ -227,16 +225,15 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
         + (j_ac e^{i theta} c'a + j_ab b'a + j_bc b'c + h.c.)
         + omega (d' + d),  d the drive side's ``driven_mode``.
 
-    The detuning and Kerr terms add s*s and ((s*r)*r)*s onto H's diagonal,
-    with s = sqrt(n), r = sqrt(n - 1) and n the occupation numbers: each
-    diagonal entry of a'a and a'a'aa is that one product, so the bits match.
-
-    Each hop is formed lower-first, as coeff (y' @ x), and added with its
-    adjoint straight into H.  On the per-mode box the order changes no bit:
-    x and y act on different modes, so each hop entry receives one nonzero
-    product and overlaps no diagonal, drive or other hop entry.  In a basis
-    capped in total photon number it matters: raising first leaves the cap
-    and drops every hop out of the top manifold.
+    Every term reads the occupation table n, not a ladder operator.  The
+    detuning and Kerr terms add s*s and ((s*r)*r)*s onto the diagonal
+    (s = sqrt(n), r = sqrt(n - 1)); the hop y'x adds coeff * (sqrt(n_y + 1)
+    * sqrt(n_x)) at (n - e_x + e_y, n) and its conjugate at the transposed
+    position; the drive adds omega * sqrt(n_d) at (n - e_d, n) and
+    (n, n - e_d).  Each entry is the one product that the dense a'a,
+    a'a'aa, coeff (y' @ x) or omega (d + d') forms there, and no two terms
+    share an entry, so H has their bits, signed zeros included.  A hop
+    forms no intermediate state, so a total-photon cap keeps every hop.
 
     Padded dimension-1 modes are legal as long as nothing couples to them
     or drives them (their n is 0); a nonzero coupling or drive on one is an
@@ -244,14 +241,10 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
     result is Hermitian to exact floating-point equality because every
     non-diagonal term is added together with its explicit adjoint.
     """
-    if space.n_modes != 3:
-        raise InvalidSpaceError(
-            f"the ring model needs exactly 3 modes (a, b, c), got {space.n_modes}"
-        )
+    n, stride = _occupations(space)
     _check_levels(params, space.mode_dims, (params.drive,), InvalidSpaceError)
     h = np.zeros((space.dim, space.dim), dtype=complex)
     diag = h.reshape(-1)[:: space.dim + 1]  # a writable view
-    n = np.indices(space.mode_dims).reshape(space.n_modes, -1)
     s, r = np.sqrt(n), np.sqrt(np.maximum(n - 1, 0))
     number, kerr = s * s, ((s * r) * r) * s  # n and n(n-1), as a'a and a'a'aa form them
     for coeff, term in (
@@ -265,15 +258,18 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
 
     for _, coeff, x, y in _couplings(params):
         if coeff != 0.0:
-            x_op = _lowering(space.mode_dims, x).data
-            y_op = _lowering(space.mode_dims, y).data
-            hop = coeff * (y_op.conj().T @ x_op)
-            h += hop
-            h += hop.conj().T
+            cols = np.flatnonzero((n[x] > 0) & (n[y] < space.mode_dims[y] - 1))
+            rows = cols - stride[x] + stride[y]
+            hop = coeff * (np.sqrt(n[y, cols] + 1) * s[x, cols])
+            h[rows, cols] += hop
+            h[cols, rows] += hop.conj()
 
     if params.omega != 0.0:
-        dop = _lowering(space.mode_dims, params.drive.driven_mode).data
-        h += params.omega * (dop + dop.conj().T)
+        d = params.drive.driven_mode
+        cols = np.flatnonzero(n[d] > 0)
+        drive = params.omega * s[d, cols]
+        h[cols - stride[d], cols] += drive
+        h[cols, cols - stride[d]] += drive
 
     return Operator(space, h)
 
@@ -286,11 +282,12 @@ def collapse_operators(params: SystemParams, space: CompositeSpace) -> list[Oper
     usual Lindblad form directly.  A zero rate drops the operator from the
     list (only kappa_b may vanish); both conventions give the same
     Liouvillian.
+
+    Each is a fresh array with sqrt(kappa_o) * sqrt(n_o) at (n - e_o, n),
+    n the occupation table: the one product sqrt(kappa_o) times the
+    embedded lowering operator forms there, so the bits match.
     """
-    if space.n_modes != 3:
-        raise InvalidSpaceError(
-            f"the ring model needs exactly 3 modes (a, b, c), got {space.n_modes}"
-        )
+    n, stride = _occupations(space)
     out = []
     for rate, mode in (
         (params.kappa_a, MODE_A),
@@ -300,8 +297,10 @@ def collapse_operators(params: SystemParams, space: CompositeSpace) -> list[Oper
         if rate == 0.0 or space.mode_dims[mode] == 1:
             # zero operator either way; keep the sparse assembly clean
             continue
-        op = _lowering(space.mode_dims, mode)
-        out.append(math.sqrt(rate) * op)
+        cols = np.flatnonzero(n[mode] > 0)
+        data = np.zeros((space.dim, space.dim), dtype=complex)
+        data[cols - stride[mode], cols] = math.sqrt(rate) * np.sqrt(n[mode, cols])
+        out.append(Operator(space, data))
     return out
 
 
@@ -352,8 +351,9 @@ def phase_matching_residual(params: SystemParams, delta: float) -> tuple[float, 
     phi -+ theta = pi (mod 2 pi), where phi = arg(delta + i kappa_b / 2) is
     the loss-induced phase lag.  Returns (amplitude residual, phase residual)
     with the phase residual minimized over both branches and reduced to
-    [0, pi].  Requires j_ab == j_bc.
+    [0, pi].  Requires j_ab == j_bc and a finite ``delta``.
     """
+    delta = _finite_float(delta, "delta", InvalidRateError)
     if params.j_ab != params.j_bc:
         raise UnsupportedAsymmetryError(
             f"the interference condition assumes j_ab == j_bc, got "

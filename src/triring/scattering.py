@@ -126,10 +126,12 @@ def scattering_matrix(model: LinearModel, omega: float, variant: str = "sqrt") -
     sqrt(Gamma) on both sides, which follows from the input-output relation
     and reproduces the closed-form transmissions; "gamma" uses a full Gamma
     on the right and is kept only for comparison (it disagrees with the
-    closed forms whenever the losses differ from one).
+    closed forms whenever the losses differ from one).  A probe frequency
+    that is not a finite number is an :class:`InvalidRateError`.
     """
     if variant not in ("sqrt", "gamma"):
         raise ValueError(f"variant must be 'sqrt' or 'gamma', got {variant!r}")
+    omega = _finite_float(omega, "omega", InvalidRateError)
     sqrt_gamma = np.diag(
         np.sqrt([model.kappa_a, model.kappa_c, model.kappa_b])
     ).astype(complex)
@@ -159,8 +161,10 @@ def transmission_closed_form(model: LinearModel, delta: float) -> tuple[float, f
 
         D = 2 cos(theta) J^2 j_ac + j_ac^2 z_b + J^2 z_c - z_a (z_b z_c - J^2),
 
-    which is exactly det(M - w I) at delta = w - w_0.
+    which is exactly det(M - w I) at delta = w - w_0.  A ``delta`` that is
+    not a finite number is an :class:`InvalidRateError`.
     """
+    delta = _finite_float(delta, "delta", InvalidRateError)
     if model.j_ab != model.j_bc:
         raise UnsupportedAsymmetryError(
             f"closed form assumes j_ab == j_bc, got {model.j_ab} and {model.j_bc}"

@@ -1,4 +1,3 @@
-import cmath
 import dataclasses
 import itertools
 import math
@@ -17,7 +16,6 @@ from triring import (
     MODE_A,
     MODE_B,
     MODE_C,
-    Operator,
     SystemParams,
     TransmissionDirection,
     UnsupportedAsymmetryError,
@@ -205,23 +203,25 @@ class TestHamiltonian:
         np.testing.assert_allclose(block, hermitian_part, atol=1e-12)
 
 
-def dense_product_hamiltonian(params, space):
-    """``build_hamiltonian`` as dense products form it, the reference its
-    occupation-number diagonal and lower-first hops must match bit for bit.
-    The detuning and Kerr terms are a'a and a'a'aa evaluated left to right,
+def dense_product_operators(params, space):
+    """H and the collapse operators as dense products of ladder operators
+    form them, built here with ``embed(annihilation(d), mode, space)``: the
+    reference the occupation-table entries must match bit for bit.  The
+    detuning and Kerr terms are a'a and a'a'aa evaluated left to right,
     skipped where the coefficient is zero or the mode has one level; the
     hops are raise-first, coeff (x @ y'), in a matrix of their own that is
-    added once with its adjoint.  Only the drive comes from
-    ``build_hamiltonian``, of the same parameters with every other term
-    zeroed.  No drive, hop or diagonal entry overlaps another, so the order
-    of the three changes no bit."""
+    added once with its adjoint; the drive is omega (d + d').  No drive,
+    hop or diagonal entry overlaps another, so the order of the three
+    changes no bit.  Each collapse operator is sqrt(rate) times the
+    lowering operator, in the order (a, c, b), skipping a zero rate or a
+    one-level mode."""
     def lowering(mode):
-        return model._lowering(space.mode_dims, mode).data
+        return embed(annihilation(space.mode_dims[mode]), mode, space).data
 
-    zeroed = dict.fromkeys(
-        ("delta_a", "delta_b", "delta_c", "u_a", "u_c", "j_ac", "j_ab", "j_bc"), 0.0
-    )
-    h = build_hamiltonian(dataclasses.replace(params, **zeroed), space).data
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    if params.omega != 0.0:
+        d = lowering(params.drive.driven_mode)
+        h += params.omega * (d + d.conj().T)
     for coeff, mode in (
         (params.delta_a, MODE_A), (params.delta_b, MODE_B), (params.delta_c, MODE_C),
     ):
@@ -239,7 +239,31 @@ def dense_product_hamiltonian(params, space):
             coupling += coeff * (lowering(x) @ lowering(y).conj().T)
     if params.j_ac != 0.0 or params.j_ab != 0.0 or params.j_bc != 0.0:
         h = h + (coupling + coupling.conj().T)
-    return h
+    c_ops = [
+        math.sqrt(rate) * lowering(mode)
+        for rate, mode in (
+            (params.kappa_a, MODE_A), (params.kappa_c, MODE_C), (params.kappa_b, MODE_B),
+        )
+        if rate != 0.0 and space.mode_dims[mode] > 1
+    ]
+    return h, c_ops
+
+
+def built_operators(params, space):
+    return (
+        build_hamiltonian(params, space).data,
+        [c.data for c in collapse_operators(params, space)],
+    )
+
+
+def same_bits(built, expected):
+    """Whether two (H, collapse operators) pairs agree bit for bit; uint64
+    views make signed zeros count."""
+    (h, c_ops), (h_ref, c_ref) = built, expected
+    return len(c_ops) == len(c_ref) and all(
+        np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        for a, b in zip([h, *c_ops], [h_ref, *c_ref])
+    )
 
 
 def axis_end_hamiltonian_cases(fig2_params):
@@ -281,32 +305,11 @@ def random_hamiltonian_cases():
     return cases
 
 
-class TestHopOrder:
-    @pytest.mark.parametrize("name, x, y", [
-        ("j_ac", MODE_A, MODE_C), ("j_ab", MODE_A, MODE_B), ("j_bc", MODE_C, MODE_B),
-    ], ids=["j_ac", "j_ab", "j_bc"])
-    def test_hops_formed_lower_first(self, monkeypatch, name, x, y):
-        # with operators that do not commute, c y'x and c x y' differ
-        space = CompositeSpace((3, 3, 3))
-        rng = np.random.default_rng(3)
-        ops = [
-            Operator(space, rng.normal(size=(27, 27)) + 1j * rng.normal(size=(27, 27)))
-            for _ in range(3)
-        ]
-        monkeypatch.setattr(model, "_lowering", lambda dims, mode: ops[mode])
-        params = SystemParams(**{name: 0.7}, theta=0.3)
-        coeff = 0.7 * cmath.exp(0.3j) if name == "j_ac" else 0.7
-        hop = coeff * (ops[y].data.conj().T @ ops[x].data)
-        h = build_hamiltonian(params, space).data
-        np.testing.assert_allclose(h, hop + hop.conj().T, rtol=1e-13, atol=1e-13)
-
-
 class TestOccupationNumberTerms:
     def test_bits_match_dense_product_formula(self, fig2_params):
-        # each diagonal entry of a'a and a'a'aa is one product of sqrt(n)
-        # entries, and each hop entry one product, so neither the occupation
-        # numbers nor the hop order moves a bit; uint64 views make signed
-        # zeros count
+        # each entry of H and of a collapse operator is one product of
+        # sqrt(n) entries, so the occupation table moves no bit; H does not
+        # depend on the loss rates, so the cases draw them separately
         signed_zeros = dataclasses.replace(
             fig2_params, delta_a=-0.0, delta_b=-0.0, delta_c=-0.0, u_a=-0.0, j_ab=-0.0
         )
@@ -315,21 +318,43 @@ class TestOccupationNumberTerms:
             (signed_zeros, (4, 4, 4)),
             (dataclasses.replace(signed_zeros, u_c=-0.0, j_bc=-0.0, j_ac=-0.0), (4, 1, 4)),
         ]
-        for params, dims in cases:
+        rates = np.random.default_rng(24).uniform(1.0, 3.0, (len(cases), 3))
+        rates[::4, 2] = 0.0  # no bridge loss
+        for (params, dims), (kappa_a, kappa_c, kappa_b) in zip(cases, rates):
+            params = dataclasses.replace(
+                params, kappa_a=kappa_a, kappa_c=kappa_c, kappa_b=kappa_b
+            )
             space = CompositeSpace(dims)
-            h = build_hamiltonian(params, space).data
-            expected = dense_product_hamiltonian(params, space)
-            assert np.array_equal(h.view(np.uint64), expected.view(np.uint64)), (params, dims)
+            expected = dense_product_operators(params, space)
+            assert same_bits(built_operators(params, space), expected), (params, dims)
+
+    def test_no_term_builds_a_ladder_operator(self, monkeypatch):
+        # every term reads the occupation table, as a basis capped in total
+        # photon number would supply it; (2, 4, 3) is a shape no other test
+        # builds, so no cache of embedded operators could hide a call
+        params = SystemParams(
+            delta_a=0.7, delta_b=-1.3, delta_c=0.4, u_a=5.0, u_c=-2.5,
+            j_ab=0.6, j_bc=0.9, j_ac=0.8, theta=2.1, omega=0.2, drive="right", kappa_b=0.7,
+        )
+        space = CompositeSpace((2, 4, 3))
+        expected = dense_product_operators(params, space)
+        assert len(expected[1]) == 3
+
+        def refuse(op, mode, target):
+            raise AssertionError(f"ladder operator of mode {mode} embedded")
+
+        monkeypatch.setattr(model, "embed", refuse)
+        assert same_bits(built_operators(params, space), expected)
 
     @pytest.mark.parametrize("dims", [(4, 4, 4), (4, 1, 4)])
     def test_detuning_and_kerr_use_no_ladder_operator(self, monkeypatch, dims):
         # the diagonal terms read occupation numbers alone, as a basis
         # capped in total photon number would supply them; on (4, 1, 4)
         # the bridge detuning sits on the one-level mode
-        def refuse(mode_dims, mode):
-            raise AssertionError(f"ladder operator of mode {mode} built")
+        def refuse(op, mode, target):
+            raise AssertionError(f"ladder operator of mode {mode} embedded")
 
-        monkeypatch.setattr(model, "_lowering", refuse)
+        monkeypatch.setattr(model, "embed", refuse)
         params = SystemParams(delta_a=0.7, delta_b=-1.3, delta_c=0.4, u_a=5.0, u_c=-2.5)
         space = CompositeSpace(dims)
         h = build_hamiltonian(params, space).data
@@ -338,42 +363,6 @@ class TestOccupationNumberTerms:
             0.7 * n[0] - 1.3 * n[1] + 0.4 * n[2] + 5.0 * n[0] * (n[0] - 1) - 2.5 * n[2] * (n[2] - 1)
         )
         np.testing.assert_allclose(h, np.diag(expected), rtol=1e-14, atol=1e-14)
-
-
-class TestLadderOperators:
-    def test_embedded_once_per_space_and_shared_read_only(self, monkeypatch, fig2_params):
-        space = CompositeSpace((3, 2, 3))
-        sides = [dataclasses.replace(fig2_params, drive=side) for side in DriveSide]
-
-        def build():
-            return [
-                (build_hamiltonian(p, space), collapse_operators(p, space)) for p in sides
-            ]
-
-        model._lowering.cache_clear()
-        fresh = build()  # every operator embedded on first use
-        embedded = []
-        real_embed = model.embed
-
-        def counting(op, mode, target):
-            embedded.append(mode)
-            return real_embed(op, mode, target)
-
-        monkeypatch.setattr(model, "embed", counting)
-        cached = build()
-        assert embedded == []
-        for (h0, c0), (h1, c1) in zip(fresh, cached):
-            assert h0.data.tobytes() == h1.data.tobytes()
-            assert [c.data.tobytes() for c in c0] == [c.data.tobytes() for c in c1]
-            for c in c1:  # callers get their own arrays
-                assert c.data.flags.writeable
-        shared = model._lowering(space.mode_dims, 0).data
-        assert np.array_equal(shared, embed(annihilation(3), 0, space).data)
-        with pytest.raises(ValueError):
-            shared[0, 1] = 0.0
-        model._lowering.cache_clear()
-        build_hamiltonian(sides[0], space)
-        assert sorted(embedded) == [0, 1, 2]
 
 
 class TestCollapseOperators:
@@ -395,6 +384,17 @@ class TestCollapseOperators:
         row = basis_index(space, (0, 1, 1))
         col = basis_index(space, (1, 1, 1))
         assert ops[0].data[row, col] == 2.0
+
+    def test_each_call_returns_fresh_writable_arrays(self, fig2_params):
+        space = CompositeSpace((3, 2, 3))
+        first = collapse_operators(fig2_params, space)
+        second = collapse_operators(fig2_params, space)
+        for a, b in zip(first, second):
+            assert a.data.flags.writeable and b.data.flags.writeable
+            assert not np.shares_memory(a.data, b.data)
+        before = second[0].data.copy()
+        first[0].data[:] = 0.0
+        assert np.array_equal(second[0].data, before)
 
     def test_padded_bridge_mode_dropped(self):
         space = CompositeSpace((3, 1, 3))
@@ -482,6 +482,16 @@ class TestPhaseMatching:
         params = SystemParams(j_ab=0.5, j_bc=0.6)
         with pytest.raises(UnsupportedAsymmetryError):
             phase_matching_residual(params, 0.0)
+
+    @pytest.mark.parametrize("delta, match", [
+        (float("inf"), "delta must be a finite number, got inf"),
+        (float("nan"), "delta must be a finite number, got nan"),
+        ("0.5", "delta must be a number, got '0.5'"),
+    ])
+    def test_probe_offset_must_be_a_finite_number(self, delta, match):
+        params = SystemParams(j_ab=SQ2, j_bc=SQ2, j_ac=SQ2, theta=-math.pi / 4, kappa_b=1.0)
+        with pytest.raises(InvalidRateError, match=f"^{match}$"):
+            phase_matching_residual(params, delta)
 
 
 class TestBaselineParams:

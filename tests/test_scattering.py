@@ -115,6 +115,16 @@ class TestScatteringMatrix:
         s_gamma = scattering_matrix(model, -0.25, variant="gamma")
         assert abs(s_gamma.forward - t_fwd) > 1e-3
 
+    @pytest.mark.parametrize("omega, match", [
+        (float("nan"), "omega must be a finite number, got nan"),
+        (float("-inf"), "omega must be a finite number, got -inf"),
+        ("0.5", "omega must be a number, got '0.5'"),
+        (True, "omega must be a number, got True"),
+    ])
+    def test_probe_offset_must_be_a_finite_number(self, omega, match):
+        with pytest.raises(InvalidRateError, match=f"^{match}$"):
+            scattering_matrix(LinearModel(), omega)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             scattering_matrix(LinearModel(), 0.0, variant="cube")
@@ -189,6 +199,15 @@ class TestClosedForm:
     def test_detuned_cavities_rejected(self):
         with pytest.raises(UnsupportedAsymmetryError):
             transmission_closed_form(LinearModel(omega_a=1.0), 0.0)
+
+    @pytest.mark.parametrize("delta, match", [
+        (float("nan"), "delta must be a finite number, got nan"),
+        (float("inf"), "delta must be a finite number, got inf"),
+        ("0.5", "delta must be a number, got '0.5'"),
+    ])
+    def test_probe_offset_must_be_a_finite_number(self, delta, match):
+        with pytest.raises(InvalidRateError, match=f"^{match}$"):
+            transmission_closed_form(LinearModel(j_ab=SQ2, j_bc=SQ2, j_ac=SQ2), delta)
 
     def test_singular_denominator(self):
         model = LinearModel(kappa_a=0.0, kappa_c=0.0, kappa_b=0.0)
