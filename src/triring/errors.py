@@ -90,7 +90,8 @@ class InsufficientPopulationError(TriringError, ValueError):
 
 
 class UndefinedRatioError(TriringError, ValueError):
-    """The nonreciprocal ratio is undefined: g2_fwd + g2_bwd is not positive."""
+    """The nonreciprocal ratio is undefined: g2_fwd + g2_bwd is not positive,
+    or a g2 is negative or not finite."""
 
 
 class ResonanceSingularityError(TriringError, RuntimeError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from math import prod
 
 import numpy as np
@@ -105,6 +105,12 @@ class CompositeSpace:
     ladder operators cannot be built on them.  Every entry must be a whole
     number >= 1 (4.0 and ``np.int64(4)`` are stored as 4), else
     :class:`InvalidDimensionError`.
+
+    The space is the one place that knows the basis layout: basis state
+    |n_0, n_1, ...> sits at flat index sum_k n_k * ``strides[k]``, and
+    ``occupations`` tabulates every state's n_k in flat-index order.  The
+    model builds its operators from that table and the diagonal
+    observables sum ``diag(rho)`` over it.
     """
 
     mode_dims: tuple[int, ...]
@@ -130,6 +136,22 @@ class CompositeSpace:
     @property
     def n_modes(self) -> int:
         return len(self.mode_dims)
+
+    @property
+    def strides(self) -> tuple[int, ...]:
+        """Each mode's step in the flat index: mode 0 is the slowest, so
+        lowering mode k maps basis state i to i - ``strides[k]``."""
+        return tuple(prod(self.mode_dims[k + 1:]) for k in range(self.n_modes))
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """``n_modes x dim`` integer table: column i holds the occupation
+        numbers of basis state i.  Formed once per space and read-only, as
+        every operator and observable on the space shares it."""
+        table = np.indices(self.mode_dims)
+        # on the array that owns the data, so the view cannot be made writeable
+        table.flags.writeable = False
+        return table.reshape(self.n_modes, -1)
 
 
 @dataclass(frozen=True)
@@ -257,11 +279,11 @@ def basis_index(space: CompositeSpace, occupations) -> int:
             f"expected {space.n_modes} occupation numbers, got {len(occ)}"
         )
     idx = 0
-    for k, (n, d) in enumerate(zip(occ, space.mode_dims)):
+    for k, (n, d, stride) in enumerate(zip(occ, space.mode_dims, space.strides)):
         n = _whole_number(n, f"occupation of mode {k}", InvalidEmbeddingError)
         if n >= d:
             raise InvalidEmbeddingError(f"occupation {n} outside truncation {d}")
-        idx = idx * d + n
+        idx += n * stride
     return idx
 
 

@@ -174,14 +174,13 @@ class OptimalCondition:
 
 
 def _occupations(space: CompositeSpace) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Every basis state's occupation numbers, one row per mode (a, b, c),
-    and each mode's stride: lowering mode k maps state i to i - stride[k]."""
+    """The space's occupation table, one row per mode (a, b, c), and its
+    strides; :class:`InvalidSpaceError` unless the space has three modes."""
     if space.n_modes != 3:
         raise InvalidSpaceError(
             f"the ring model needs exactly 3 modes (a, b, c), got {space.n_modes}"
         )
-    dims = space.mode_dims
-    return np.indices(dims).reshape(3, -1), (dims[1] * dims[2], dims[2], 1)
+    return space.occupations, space.strides
 
 
 def _couplings(params: SystemParams) -> tuple:
@@ -313,7 +312,16 @@ def optimal_condition(
     Backward (c -> a): both signs flipped.  In either case j = |j_ac| and
     kappa_b = kappa.  A negative raw j_ac is folded into the phase,
     ``theta -> theta + pi``, keeping the reported coupling non-negative.
+    ``direction`` is a :class:`TransmissionDirection` or its value
+    (``"forward"``, ``"backward"``), else :class:`InvalidRateError`.
     """
+    try:
+        direction = TransmissionDirection(direction)
+    except ValueError:
+        raise InvalidRateError(
+            f"direction must be a TransmissionDirection or one of "
+            f"{[d.value for d in TransmissionDirection]}, got {direction!r}"
+        ) from None
     theta = _finite_float(theta, "theta", InvalidRateError)
     kappa = _finite_float(kappa, "kappa", InvalidRateError)
     if kappa <= 0:

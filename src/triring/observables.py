@@ -22,7 +22,7 @@ from .errors import (
     UndefinedTransmissionError,
 )
 from .fock import CompositeSpace, Operator, _finite_float, _mode_index, _whole_number
-from .lindblad import DensityMatrix
+from .lindblad import DensityMatrix, _check_state
 from .model import SystemParams
 
 __all__ = [
@@ -62,7 +62,8 @@ def expectation(rho: DensityMatrix, op: Operator) -> complex:
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     """Reduced single-mode density matrix of mode ``keep``, a whole number
-    below the number of modes (else ``ValueError``)."""
+    below the number of modes (else ``ValueError``).  The diagonal
+    observables do not call it; its diagonal is their reference."""
     dims = rho.space.mode_dims
     n = len(dims)
     keep = _mode_index(keep, n, ValueError)
@@ -76,14 +77,25 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
 
 
 def photon_distribution(rho: DensityMatrix, mode: int) -> np.ndarray:
-    """P_m for m = 0 ... dim-1 of the given mode (diagonal of the reduced
-    state); ``mode`` follows :func:`partial_trace`'s rule."""
-    return np.diag(partial_trace(rho, mode).data).real.copy()
+    """P_m for m = 0 ... dim-1 of the given mode: diag(rho) summed over the
+    space's occupation table in flat-index order, with the bits of
+    :func:`partial_trace`'s diagonal.  The summed diagonal, imaginary part
+    included, passes the density-matrix check (else
+    :class:`NonPhysicalStateError`); ``mode`` is a whole number below the
+    number of modes, else ``ValueError``."""
+    space = rho.space
+    mode = _mode_index(mode, space.n_modes, ValueError)
+    occupation, levels = space.occupations[mode], space.mode_dims[mode]
+    diagonal = np.diagonal(rho.data)
+    p = np.bincount(occupation, weights=diagonal.real, minlength=levels)
+    imag = np.bincount(occupation, weights=diagonal.imag, minlength=levels)
+    _check_state(np.diag(p + 1j * imag))
+    return p
 
 
 def mean_occupation(rho: DensityMatrix, mode: int) -> float:
-    """<n> of one mode, evaluated from its reduced photon distribution;
-    ``mode`` follows :func:`partial_trace`'s rule."""
+    """<n> of one mode, evaluated from its photon distribution; ``mode``
+    follows :func:`photon_distribution`'s rule."""
     p = photon_distribution(rho, mode)
     return float(np.arange(p.size) @ p)
 
@@ -157,18 +169,31 @@ def poisson_reference(mean: float, m_max: int) -> np.ndarray:
 
 
 def isolation(t_fwd: float, t_bwd: float) -> float:
-    """Classical nonreciprocity measure |T_fwd - T_bwd|."""
-    return abs(t_fwd - t_bwd)
+    """Classical nonreciprocity measure |T_fwd - T_bwd|; ``ValueError``
+    unless both are finite numbers."""
+    return abs(
+        _finite_float(t_fwd, "t_fwd", ValueError) - _finite_float(t_bwd, "t_bwd", ValueError)
+    )
 
 
 def nonreciprocal_ratio(g2_fwd: float, g2_bwd: float) -> float:
-    """Normalized contrast |(g2_fwd - g2_bwd) / (g2_fwd + g2_bwd)| in [0, 1],
-    defined where the sum is positive (round-off can make a g2 negative)."""
+    """Normalized contrast |(g2_fwd - g2_bwd) / (g2_fwd + g2_bwd)| in [0, 1].
+
+    Defined where both g2 are finite and >= 0 and their sum is positive.
+    Round-off can make a g2 negative: a sum <= 0 is refused first, then a
+    negative or non-finite g2, each with :class:`UndefinedRatioError`.
+    """
     total = g2_fwd + g2_bwd
     if total <= 0:
         raise UndefinedRatioError(
             f"nonreciprocal ratio is undefined: g2_fwd + g2_bwd = {total} is not positive"
         )
+    for name, g2 in (("g2_fwd", g2_fwd), ("g2_bwd", g2_bwd)):
+        # nan fails the comparison too
+        if not 0 <= g2 < math.inf:
+            raise UndefinedRatioError(
+                f"nonreciprocal ratio is undefined: {name} = {g2} is not a finite number >= 0"
+            )
     return abs((g2_fwd - g2_bwd) / total)
 
 

@@ -216,6 +216,27 @@ class TestBasis:
         with pytest.raises(InvalidEmbeddingError):
             basis_index(CompositeSpace((2, 2)), (2, 0))
 
+    @pytest.mark.parametrize("dims, strides", [
+        ((3, 2, 4), (8, 4, 1)),
+        ((3, 1, 2, 4), (8, 8, 4, 1)),
+        ((5,), (1,)),
+    ])
+    def test_occupation_table_matches_basis_index(self, dims, strides):
+        space = CompositeSpace(dims)
+        assert space.strides == strides
+        table = space.occupations
+        assert table.shape == (space.n_modes, space.dim)
+        assert [basis_index(space, column) for column in table.T] == list(range(space.dim))
+
+    def test_occupation_table_is_read_only_and_shared(self):
+        space = CompositeSpace((2, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            space.occupations[0, 0] = 1
+        with pytest.raises(ValueError):
+            space.occupations.flags.writeable = True
+        assert space.occupations is space.occupations
+        assert space == CompositeSpace((2, 3))
+
 
 class TestOperatorAlgebra:
     def test_space_mismatch_raises(self):

@@ -443,6 +443,16 @@ class TestOptimalCondition:
         with pytest.raises(InvalidRateError):
             optimal_condition(TransmissionDirection.FORWARD, -math.pi / 4, 0.0)
 
+    @pytest.mark.parametrize("direction", list(TransmissionDirection))
+    def test_direction_value_is_its_member(self, direction):
+        # a value must not fall through to the backward formulas
+        assert optimal_condition(direction.value, 0.5, 1.0) == optimal_condition(direction, 0.5, 1.0)
+
+    @pytest.mark.parametrize("direction", ["sideways", "Forward", None, DriveSide.LEFT])
+    def test_unknown_direction_refused(self, direction):
+        with pytest.raises(InvalidRateError, match=r"^direction must be a TransmissionDirection"):
+            optimal_condition(direction, 0.5, 1.0)
+
 
 class TestPhaseMatching:
     def _params_from(self, cond):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -10,13 +11,16 @@ from triring import (
     DriveSide,
     InsufficientPopulationError,
     InvalidDimensionError,
+    NonPhysicalStateError,
     Operator,
     SpaceMismatchError,
     SystemParams,
     UndefinedRatioError,
     UndefinedTransmissionError,
     annihilation,
+    build_hamiltonian,
     build_liouvillian,
+    collapse_operators,
     correlation_g_n,
     expectation,
     isolation,
@@ -29,6 +33,7 @@ from triring import (
     steady_state,
     transmission,
 )
+from triring.cli import baseline_params
 from conftest import random_density_matrix
 
 
@@ -120,6 +125,58 @@ class TestPhotonDistribution:
         rho = DensityMatrix.from_array(space, random_density_matrix(rng, 12))
         for mode in range(2):
             assert photon_distribution(rho, mode).sum() == pytest.approx(1.0, abs=1e-8)
+
+
+def ring_steady_state(dims, side):
+    params = dataclasses.replace(baseline_params(), drive=side)
+    if dims[1] == 1:
+        # the two-cavity ring: nothing may couple to the one-level bridge
+        params = dataclasses.replace(params, j_ab=0.0, j_bc=0.0)
+    space = CompositeSpace(dims)
+    hamiltonian = build_hamiltonian(params, space)
+    return steady_state(build_liouvillian(hamiltonian, collapse_operators(params, space)))
+
+
+def referee_states():
+    for dims in ((4, 4, 4), (5, 5, 5), (6, 6, 6), (4, 1, 4)):
+        for side in DriveSide:
+            yield f"steady-{'x'.join(map(str, dims))}-{side.value}", ring_steady_state(dims, side)
+    rng = np.random.default_rng(41)
+    for dims in ((2, 3, 4), (3, 1, 2)):
+        space = CompositeSpace(dims)
+        for k in range(3):
+            rho = DensityMatrix.from_array(space, random_density_matrix(rng, space.dim))
+            yield f"random-{'x'.join(map(str, dims))}-{k}", rho
+
+
+class TestTablePath:
+    """photon_distribution sums diag(rho) over the occupation table; the
+    partial trace is its reference, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        return dict(referee_states())
+
+    def test_matches_partial_trace_bit_for_bit(self, states):
+        mismatched = []
+        for label, rho in states.items():
+            for mode in range(rho.space.n_modes):
+                ours = photon_distribution(rho, mode)
+                reference = np.ascontiguousarray(np.diag(partial_trace(rho, mode).data).real)
+                if not np.array_equal(ours.view(np.uint64), reference.view(np.uint64)):
+                    mismatched.append((label, mode))
+        assert len(states) == 14 and mismatched == []
+
+    @pytest.mark.parametrize("diagonal, mode, message", [
+        ([0.5, 0.75, -0.25, 0.0], 0, "eigenvalue -2.500e-01 below the positivity floor"),
+        ([0.5 + 0.1j, 0.5 - 0.1j, 0.0, 0.0], 1, "not Hermitian"),
+        ([0.5, 0.4, 0.0, 0.0], 0, "trace deviates from one"),
+        ([np.nan, 1.0, 0.0, 0.0], 1, "non-finite entries"),
+    ])
+    def test_nonphysical_diagonal_refused(self, diagonal, mode, message):
+        rho = DensityMatrix(CompositeSpace((2, 2)), np.diag(diagonal))
+        with pytest.raises(NonPhysicalStateError, match=message):
+            photon_distribution(rho, mode)
 
 
 class TestPoissonReference:
@@ -303,3 +360,24 @@ class TestScalarMeasures:
             message = f"nonreciprocal ratio is undefined: g2_fwd + g2_bwd = {total} is not positive"
             with pytest.raises(UndefinedRatioError, match=f"^{re.escape(message)}$"):
                 nonreciprocal_ratio(g2_fwd, g2_bwd)
+
+    @pytest.mark.parametrize("g2_fwd, g2_bwd, name", [
+        (-0.5, 0.6, "g2_fwd = -0.5"),
+        (0.6, -1e-18, "g2_bwd = -1e-18"),
+        (float("nan"), 0.1, "g2_fwd = nan"),
+        (0.1, float("inf"), "g2_bwd = inf"),
+    ])
+    def test_ratio_refuses_negative_or_non_finite_g2(self, g2_fwd, g2_bwd, name):
+        # with a positive sum, (-0.5, 0.6) read 11.0 and (nan, 0.1) read nan
+        message = f"nonreciprocal ratio is undefined: {name} is not a finite number >= 0"
+        with pytest.raises(UndefinedRatioError, match=f"^{re.escape(message)}$"):
+            nonreciprocal_ratio(g2_fwd, g2_bwd)
+
+    @pytest.mark.parametrize("t_fwd, t_bwd, match", [
+        (float("nan"), 0.1, "t_fwd must be a finite number"),
+        (0.1, float("-inf"), "t_bwd must be a finite number"),
+        (True, 0.1, "t_fwd must be a number, got True"),
+    ])
+    def test_isolation_refuses_non_finite_input(self, t_fwd, t_bwd, match):
+        with pytest.raises(ValueError, match=match):
+            isolation(t_fwd, t_bwd)
