@@ -343,6 +343,16 @@ class SweepSpec:
         # an axis takes a nonzero value somewhere, since start != stop
         swept = {t for ax in self.axes for t in _SHORTHAND.get(ax.name, (ax.name,))}
         _check_levels(self.fixed, self.dims, _DIRECTIONS[self.directions], ConfigError, swept)
+        # the grid is linear and each parameter bound involves one field, so
+        # an axis that keeps its two ends in range keeps every point in range
+        for ax in self.axes:
+            for value in (ax.start, ax.stop):
+                try:
+                    apply_axis(self.fixed, ax.name, value)
+                except TriringError as exc:
+                    raise ConfigError(
+                        f"axis {ax.name!r} leaves the parameter range: {exc}"
+                    ) from exc
         point_cap = _whole_number(self.point_cap, "point_cap", ConfigError, minimum=1)
         object.__setattr__(self, "point_cap", point_cap)
         # the name is the basename of the files a sweep writes into its

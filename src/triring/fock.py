@@ -109,8 +109,9 @@ class CompositeSpace:
     The space is the one place that knows the basis layout: basis state
     |n_0, n_1, ...> sits at flat index sum_k n_k * ``strides[k]``, and
     ``occupations`` tabulates every state's n_k in flat-index order.  The
-    model builds its operators from that table and the diagonal
-    observables sum ``diag(rho)`` over it.
+    model builds its operators from that table and places their entries
+    with ``_transitions``; the diagonal observables sum ``diag(rho)`` over
+    the table.
     """
 
     mode_dims: tuple[int, ...]
@@ -152,6 +153,20 @@ class CompositeSpace:
         # on the array that owns the data, so the view cannot be made writeable
         table.flags.writeable = False
         return table.reshape(self.n_modes, -1)
+
+    def _transitions(self, lower: int, raise_: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)``: ``cols`` the ascending flat indices of every
+        state n with a photon in mode ``lower`` and, if ``raise_`` is given,
+        room for one more in mode ``raise_``; ``rows`` those of
+        n - e_lower (+ e_raise).  The box's cap n < mode_dims - 1 lives here."""
+        n = self.occupations
+        mask = n[lower] > 0
+        step = self.strides[lower]
+        if raise_ is not None:
+            mask &= n[raise_] < self.mode_dims[raise_] - 1
+            step -= self.strides[raise_]
+        cols = np.flatnonzero(mask)
+        return cols - step, cols
 
 
 @dataclass(frozen=True)

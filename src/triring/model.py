@@ -173,14 +173,14 @@ class OptimalCondition:
         )
 
 
-def _occupations(space: CompositeSpace) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The space's occupation table, one row per mode (a, b, c), and its
-    strides; :class:`InvalidSpaceError` unless the space has three modes."""
+def _occupations(space: CompositeSpace) -> np.ndarray:
+    """The space's occupation table, one row per mode (a, b, c);
+    :class:`InvalidSpaceError` unless the space has three modes."""
     if space.n_modes != 3:
         raise InvalidSpaceError(
             f"the ring model needs exactly 3 modes (a, b, c), got {space.n_modes}"
         )
-    return space.occupations, space.strides
+    return space.occupations
 
 
 def _couplings(params: SystemParams) -> tuple:
@@ -224,7 +224,8 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
         + (j_ac e^{i theta} c'a + j_ab b'a + j_bc b'c + h.c.)
         + omega (d' + d),  d the drive side's ``driven_mode``.
 
-    Every term reads the occupation table n, not a ladder operator.  The
+    Every term reads the occupation table n, not a ladder operator, and
+    takes its positions from the space's ``_transitions``.  The
     detuning and Kerr terms add s*s and ((s*r)*r)*s onto the diagonal
     (s = sqrt(n), r = sqrt(n - 1)); the hop y'x adds coeff * (sqrt(n_y + 1)
     * sqrt(n_x)) at (n - e_x + e_y, n) and its conjugate at the transposed
@@ -240,7 +241,7 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
     result is Hermitian to exact floating-point equality because every
     non-diagonal term is added together with its explicit adjoint.
     """
-    n, stride = _occupations(space)
+    n = _occupations(space)
     _check_levels(params, space.mode_dims, (params.drive,), InvalidSpaceError)
     h = np.zeros((space.dim, space.dim), dtype=complex)
     diag = h.reshape(-1)[:: space.dim + 1]  # a writable view
@@ -257,18 +258,17 @@ def build_hamiltonian(params: SystemParams, space: CompositeSpace) -> Operator:
 
     for _, coeff, x, y in _couplings(params):
         if coeff != 0.0:
-            cols = np.flatnonzero((n[x] > 0) & (n[y] < space.mode_dims[y] - 1))
-            rows = cols - stride[x] + stride[y]
+            rows, cols = space._transitions(x, y)
             hop = coeff * (np.sqrt(n[y, cols] + 1) * s[x, cols])
             h[rows, cols] += hop
             h[cols, rows] += hop.conj()
 
     if params.omega != 0.0:
         d = params.drive.driven_mode
-        cols = np.flatnonzero(n[d] > 0)
+        rows, cols = space._transitions(d)
         drive = params.omega * s[d, cols]
-        h[cols - stride[d], cols] += drive
-        h[cols, cols - stride[d]] += drive
+        h[rows, cols] += drive
+        h[cols, rows] += drive
 
     return Operator(space, h)
 
@@ -286,7 +286,7 @@ def collapse_operators(params: SystemParams, space: CompositeSpace) -> list[Oper
     n the occupation table: the one product sqrt(kappa_o) times the
     embedded lowering operator forms there, so the bits match.
     """
-    n, stride = _occupations(space)
+    n = _occupations(space)
     out = []
     for rate, mode in (
         (params.kappa_a, MODE_A),
@@ -296,9 +296,9 @@ def collapse_operators(params: SystemParams, space: CompositeSpace) -> list[Oper
         if rate == 0.0 or space.mode_dims[mode] == 1:
             # zero operator either way; keep the sparse assembly clean
             continue
-        cols = np.flatnonzero(n[mode] > 0)
+        rows, cols = space._transitions(mode)
         data = np.zeros((space.dim, space.dim), dtype=complex)
-        data[cols - stride[mode], cols] = math.sqrt(rate) * np.sqrt(n[mode, cols])
+        data[rows, cols] = math.sqrt(rate) * np.sqrt(n[mode, cols])
         out.append(Operator(space, data))
     return out
 

@@ -497,6 +497,27 @@ class TestSweepSpec:
                 point_cap="100",
             )
 
+    # the grid runs between the two ends, so an end outside a parameter's
+    # range is a spec error, found before the first point is solved
+    @pytest.mark.parametrize("name, start, stop, bad", [
+        ("kappa_b", -0.5, 0.5, "kappa_b must be >= 0, got -0.5"),
+        ("omega", 0.1, -0.2, "omega must be >= 0, got -0.2"),
+        ("j_ac", -1.0, 1.0, "j_ac is a coupling magnitude and must be >= 0, got -1.0"),
+    ])
+    def test_axis_ends_outside_the_parameter_range(self, tmp_path, capsys, name, start, stop, bad):
+        message = f"axis {name!r} leaves the parameter range: {bad}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SweepSpec(axes=(Axis(name, start, stop, 3),), fixed=baseline_params(), dims=2)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "axes": [{"name": name, "start": start, "stop": stop, "count": 3}],
+            "fixed": {"omega": 0.1, "j": 0.7, "u": 5, "kappa_b": 1}, "dims": 2,
+        }))
+        for command in (["validate", str(spec)], ["sweep", str(spec), "--out", str(tmp_path)]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
     def test_grid_is_row_major(self):
         spec = SweepSpec(
             axes=(Axis("delta", 0.0, 1.0, 2), Axis("kappa_b", 0.0, 2.0, 3)),

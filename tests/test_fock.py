@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,28 @@ class TestBasis:
             space.occupations.flags.writeable = True
         assert space.occupations is space.occupations
         assert space == CompositeSpace((2, 3))
+
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (3, 1, 2), (1, 1, 1), (4, 1, 4), (5, 5, 5)])
+    def test_transitions_match_brute_force(self, dims):
+        # every state n with a photon in ``lower`` whose image
+        # n - e_lower (+ e_raise) is inside the box, in flat-index order
+        space = CompositeSpace(dims)
+        modes = range(len(dims))
+        pairs = [(x, y) for x in modes for y in (None, *modes) if y != x]
+        for lower, raise_ in pairs:
+            expected = []
+            for n in itertools.product(*(range(d) for d in dims)):
+                image = list(n)
+                image[lower] -= 1
+                if raise_ is not None:
+                    image[raise_] += 1
+                if image[lower] >= 0 and (raise_ is None or image[raise_] < dims[raise_]):
+                    expected.append((basis_index(space, image), basis_index(space, n)))
+            rows, cols = space._transitions(lower, raise_)
+            assert list(zip(rows.tolist(), cols.tolist())) == expected, (lower, raise_)
+            assert np.all(np.diff(cols) > 0)
+            if dims[lower] == 1:
+                assert rows.size == cols.size == 0
 
 
 class TestOperatorAlgebra:
