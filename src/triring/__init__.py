@@ -11,70 +11,10 @@ network.
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one list of the names it exports
 from .errors import *  # noqa: F401,F403
-from .fock import (  # noqa: F401
-    CompositeSpace,
-    ModeSpace,
-    Operator,
-    adjoint,
-    annihilation,
-    basis_index,
-    basis_state,
-    creation,
-    embed,
-    identity,
-    number,
-    tensor,
-)
-from .model import (  # noqa: F401
-    MODE_A,
-    MODE_B,
-    MODE_C,
-    DriveSide,
-    OptimalCondition,
-    SystemParams,
-    TransmissionDirection,
-    build_hamiltonian,
-    collapse_operators,
-    optimal_condition,
-    phase_matching_residual,
-)
-from .lindblad import (  # noqa: F401
-    DensityMatrix,
-    SolveDiagnostics,
-    SteadyStateMethod,
-    SteadyStateOptions,
-    Superoperator,
-    build_liouvillian,
-    evolve,
-    steady_state,
-    trace_violation,
-    unvec,
-    vec,
-)
-from .observables import (  # noqa: F401
-    POPULATION_FLOOR,
-    PointResult,
-    correlation_g_n,
-    expectation,
-    isolation,
-    mean_occupation,
-    nonreciprocal_ratio,
-    partial_trace,
-    photon_distribution,
-    poisson_reference,
-    transmission,
-)
-from .scattering import (  # noqa: F401
-    MODE_TO_PORT,
-    PORT_A,
-    PORT_B,
-    PORT_C,
-    PORT_TO_MODE,
-    LinearModel,
-    SMatrix,
-    drift_matrix,
-    from_system_params,
-    scattering_matrix,
-    transmission_closed_form,
-)
+from .fock import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .lindblad import *  # noqa: F401,F403
+from .observables import *  # noqa: F401,F403
+from .scattering import *  # noqa: F401,F403

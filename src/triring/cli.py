@@ -377,6 +377,11 @@ class SweepSpec:
                 raise ConfigError(
                     f"outputs must be a list of column names, got {self.outputs!r}"
                 )
+            # no column at all would write only the grid and its notes
+            if not self.outputs:
+                raise ConfigError(
+                    "outputs must name at least one column; leave it out to get every column"
+                )
             object.__setattr__(self, "outputs", tuple(self.outputs))
             allowed = set(_value_columns(self.dims, self.convergence_check))
             unknown = [c for c in self.outputs if c not in allowed]

@@ -134,7 +134,7 @@ class SystemParams:
             warnings.warn(
                 f"omega = {self.omega} exceeds {WEAK_DRIVE_FRACTION} * min(kappa_a, kappa_c); "
                 "results leave the weak-drive regime the observables assume",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

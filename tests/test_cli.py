@@ -425,6 +425,14 @@ class TestSweepSpec:
             SweepSpec(axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(), outputs=outputs)
         assert str(exc.value) == f"outputs must be a list of column names, got {outputs!r}"
 
+    # no value column at all would solve every point for nothing
+    def test_outputs_may_not_be_empty(self):
+        with pytest.raises(ConfigError) as exc:
+            SweepSpec(axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(), outputs=())
+        assert str(exc.value) == (
+            "outputs must name at least one column; leave it out to get every column"
+        )
+
     def test_outputs_stored_as_tuple(self):
         spec = SweepSpec(
             axes=(Axis("delta", -1, 1, 3),), fixed=baseline_params(), outputs=["t_fwd", "t_bwd"],
@@ -973,6 +981,9 @@ class TestCommandLine:
         ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}],
           "fixed": {"u_a": 5.0, "u": 4.0}},
          "parameters 'u_a' and 'u' both set 'u_a'"),
+        ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}], "fixed": {},
+          "outputs": []},
+         "outputs must name at least one column; leave it out to get every column"),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"

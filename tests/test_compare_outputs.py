@@ -1,5 +1,6 @@
 """tools/compare_outputs.py: identical outputs pass, any changed value fails
-and is named by file, column and row."""
+and is named by file, column and row, and in units of its truncation drift
+where the row holds one."""
 
 import importlib.util
 import json
@@ -107,3 +108,23 @@ def test_missing_and_extra_files_fail(compare_outputs, capsys, runs, tmp_path):
     assert status == 1
     assert f"smoke.json: missing (in {a} only)" in out
     assert f"notes.txt: extra (in {b} only)" in out
+
+
+def test_change_in_drift_units(compare_outputs, capsys, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    header = "t_fwd,g3_bwd,drift_t_fwd,drift_g3_bwd\n"
+    # row 0: t_fwd moves 0.1 drift; row 1: 0.5 drift; g3_bwd's drift is empty or 0
+    (a / "sweep.csv").write_text(header + "0.5,2.0,0.01,\n0.25,1.5,0.002,0.0\n")
+    (b / "sweep.csv").write_text(header + "0.5005,2.5,0.01,\n0.25025,1.0,0.002,0.0\n")
+    (a / "point.json").write_text(json.dumps({"t_fwd": 0.5, "drift_t_fwd": 0.01}))
+    (b / "point.json").write_text(json.dumps({"t_fwd": 0.5005, "drift_t_fwd": 0.01}))
+    status, out = run(compare_outputs, capsys, a, b)
+    assert status == 1
+    lines = out.splitlines()
+    assert lines[0] == "point.json: differs"
+    assert lines[1].startswith("  t_fwd: 1 cell differs;")
+    assert lines[1].endswith("; max change in drift units 1.000e-01")
+    assert lines[2] == "sweep.csv: differs"
+    assert lines[3].endswith("; max change in drift units 5.000e-01 at row 1")
+    assert lines[4].startswith("  g3_bwd: 2 cells differ;") and "drift units" not in lines[4]

@@ -73,8 +73,9 @@ class TestSystemParams:
         assert params == SystemParams(kappa_b=1.0, omega=0.1, delta_a=0.5)
 
     def test_weak_drive_warning(self):
-        with pytest.warns(UserWarning, match="weak-drive"):
+        with pytest.warns(UserWarning, match="weak-drive") as record:
             SystemParams(omega=0.6, kappa_a=1.0, kappa_c=1.0)
+        assert [w.filename for w in record] == [__file__]
 
     @pytest.mark.parametrize("side", list(DriveSide))
     def test_drive_given_by_name(self, side):

@@ -14,6 +14,12 @@ compared leaf by leaf under its key path.  A manifest
 every run.  A file on one side only is reported as ``missing`` (DIR_A only)
 or ``extra`` (DIR_B only).
 
+A changed ``t``, ``g2`` or ``g3`` value of one side (``t_fwd``, ``g3_bwd``,
+...) whose row or JSON object in DIR_A also holds the matching relative
+truncation drift (``drift_t_fwd``, ...) is also reported in units of that
+drift: the largest relative change divided by the drift, with its row.
+Cells whose drift is empty or 0 are left out of that figure.
+
 The exit status is 0 when every file is identical and 1 on any difference,
 so the command can gate a refactor that must keep its outputs byte for byte.
 """
@@ -24,10 +30,13 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 ABSENT = "<absent>"
+# the values run_point reports a relative truncation drift for
+DRIFTED = re.compile(r"(t|g2|g3)_(fwd|bwd)")
 
 
 def _is_manifest(path: Path) -> bool:
@@ -87,6 +96,14 @@ def _at(row) -> str:
     return "" if row is None else f" at row {row}"
 
 
+def _drift_key(key: tuple) -> tuple | None:
+    """The (column, row) of the drift that goes with ``key``'s value: the
+    same row of a table, or the same object of a JSON document."""
+    column, row = key
+    head, dot, name = column.rpartition(".")
+    return (f"{head}{dot}drift_{name}", row) if DRIFTED.fullmatch(name) else None
+
+
 def compare_file(path_a: Path, path_b: Path) -> list[str]:
     """Lines describing how ``path_b`` differs from ``path_a``; empty if it
     does not."""
@@ -95,7 +112,8 @@ def compare_file(path_a: Path, path_b: Path) -> list[str]:
     if path_a.suffix not in (".csv", ".json"):
         return ["  contents differ (not a CSV or JSON file)"]
     cells_a, cells_b = _cells(path_a), _cells(path_b)
-    # column -> [cells changed, (abs, row), (rel, row), first other change]
+    # column -> [cells changed, (abs, row), (rel, row), first other change,
+    #            (rel / drift, row)]
     changes: dict = {}
     for key in [*cells_a, *(k for k in cells_b if k not in cells_a)]:
         a, b = cells_a.get(key, ABSENT), cells_b.get(key, ABSENT)
@@ -103,7 +121,7 @@ def compare_file(path_a: Path, path_b: Path) -> list[str]:
         if repr(a) == repr(b):
             continue
         column, row = key
-        entry = changes.setdefault(column, [0, None, None, None])
+        entry = changes.setdefault(column, [0, None, None, None, None])
         entry[0] += 1
         x, y = _number(a), _number(b)
         if x is None or y is None:
@@ -115,16 +133,22 @@ def compare_file(path_a: Path, path_b: Path) -> list[str]:
             entry[1] = (change, row)
         if entry[2] is None or relative > entry[2][0]:
             entry[2] = (relative, row)
+        drift_key = _drift_key(key)
+        drift = _number(cells_a.get(drift_key, ABSENT)) if drift_key else None
+        if drift and (entry[4] is None or relative / drift > entry[4][0]):
+            entry[4] = (relative / drift, row)
     if not changes:
         # a manifest may differ in wall_time_s alone; any other file is
         # only identical byte for byte, so another layout is a difference
         return [] if _is_manifest(path_a) else ["  same values, different bytes"]
     lines = []
-    for column, (count, largest, relative, other) in changes.items():
+    for column, (count, largest, relative, other, drifts) in changes.items():
         parts = [f"{count} cell{'s differ' if count > 1 else ' differs'}"]
         if largest is not None:
             parts.append(f"max abs change {largest[0]:.3e}{_at(largest[1])}")
             parts.append(f"max rel change {relative[0]:.3e}{_at(relative[1])}")
+        if drifts is not None:
+            parts.append(f"max change in drift units {drifts[0]:.3e}{_at(drifts[1])}")
         if other is not None:
             row, a, b = other
             parts.append(f"non-numeric change{_at(row)}: {a!r} -> {b!r}")
