@@ -558,6 +558,17 @@ def _check_formats(formats) -> None:
         raise ConfigError(f"formats must be a non-empty tuple of 'csv' and 'json', got {formats!r}")
 
 
+def _out_dir(path) -> Path:
+    """Create the output directory ``path`` and its parents, if missing; a
+    path that cannot be one is a :class:`ConfigError` naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+    return path
+
+
 def _emit(
     out_dir: Path,
     basename: str,
@@ -574,8 +585,7 @@ def _emit(
     ``"json"`` are a :class:`ConfigError`.
     """
     _check_formats(formats)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out_dir)
     written = []
     if "csv" in formats:
         path = out_dir / f"{basename}.csv"
@@ -846,10 +856,10 @@ def scenario(
     :func:`run_point`'s rule and ``jobs`` :func:`run_sweep`'s.
     """
     specs = _scenario_specs(name, dims)
-    # a bad count or format fails before any file is written
+    # a bad count, format or output directory fails before any solve
     _worker_count(jobs)
     _check_formats(formats)
-    out_dir = Path(out_dir)
+    out_dir = _out_dir(out_dir)
     files = []
     for spec in specs:
         result = run_sweep(spec, jobs, memo=_point_memo(run_point))
@@ -921,6 +931,8 @@ def _cmd_point(args) -> int:
     params, dims, directions, convergence = load_point_config(doc)
     if args.dims is not None:
         dims = _parse_dims(args.dims)
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ConfigError(f"cannot write {args.out}: not a file in an existing directory")
     result = run_point(
         params, dims=dims, directions=directions, convergence_check=convergence
     )
@@ -943,8 +955,11 @@ def _cmd_sweep(args) -> int:
     spec = load_sweep_spec(_load_json(args.spec))
     if args.dims is not None:
         spec = dataclasses.replace(spec, dims=args.dims)
+    # a bad count creates no directory; a bad directory fails before any solve
+    _worker_count(args.jobs)
+    out_dir = _out_dir(args.out)
     result = run_sweep(spec, jobs=args.jobs)
-    files = emit_sweep(result, Path(args.out), formats=_formats(args))
+    files = emit_sweep(result, out_dir, formats=_formats(args))
     for path in files:
         print(f"wrote {path}")
     if result.n_errors:

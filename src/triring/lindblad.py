@@ -35,7 +35,6 @@ module attributes, so a patched attribute is the one that runs.
 from __future__ import annotations
 
 import itertools
-import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,7 +50,7 @@ from .errors import (
     SpaceMismatchError,
     StepTooLargeError,
 )
-from .fock import CompositeSpace, Operator, _finite_float, _flag
+from .fock import CompositeSpace, Operator, _finite_float
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -73,6 +72,8 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_FLOOR = -1e-8
+# a steady state is accepted when ||L x|| <= RESIDUAL_TOL * ||L||_F * ||x||
+RESIDUAL_TOL = 1e-10
 
 # largest D^2 the null-space method accepts: with one BLAS thread its dense
 # SVD took 4.2 s and 287 MB at 1296 (3x4x3), but 116 s and 2.2 GB at 4096
@@ -89,22 +90,14 @@ class SteadyStateOptions:
     """How :func:`steady_state` solves.
 
     ``method`` is a :class:`SteadyStateMethod` or its value
-    (``"trace-constrained"``, ``"null-space"``), ``residual_tol`` a finite
-    number > 0 and ``hermitize`` a bool; anything else is a ``ValueError``.
+    (``"trace-constrained"``, ``"null-space"``); anything else is a
+    ``ValueError``.
     """
 
     method: SteadyStateMethod = SteadyStateMethod.TRACE_CONSTRAINED
-    residual_tol: float = 1e-10
-    hermitize: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "method", SteadyStateMethod(self.method))
-        _flag(self.hermitize, "hermitize", ValueError)
-        tol = self.residual_tol
-        # nan and inf share the message of <= 0: each lets any candidate pass
-        if isinstance(tol, numbers.Real) and not 0 < tol < np.inf:
-            raise ValueError(f"residual_tol must be finite and > 0, got {tol}")
-        object.__setattr__(self, "residual_tol", _finite_float(tol, "residual_tol", ValueError))
 
 
 @dataclass
@@ -358,17 +351,11 @@ def trace_violation(liouv: Superoperator) -> float:
     return float(np.linalg.norm(row) / max(liouv.norm_fro(), 1e-300))
 
 
-def _finalize(
-    liouv: Superoperator,
-    raw: np.ndarray,
-    opts: SteadyStateOptions,
-    method: str,
-) -> DensityMatrix:
+def _finalize(liouv: Superoperator, raw: np.ndarray, method: str) -> DensityMatrix:
     d = liouv.space.dim
     rho = unvec(raw, d)
     herm_defect = float(np.abs(rho - rho.conj().T).max())
-    if opts.hermitize:
-        rho = 0.5 * (rho + rho.conj().T)
+    rho = 0.5 * (rho + rho.conj().T)
     tr = complex(np.trace(rho))
     trace_defect = abs(tr - 1.0)
     if abs(tr) < 1e-14:
@@ -376,10 +363,10 @@ def _finalize(
             "steady-state candidate has (near-)zero trace and cannot be normalized",
             residual=float("inf"),
         )
-    rho = rho / tr.real if opts.hermitize else rho / tr
+    rho = rho / tr.real
     x = vec(rho)
     residual = float(np.linalg.norm(liouv.data @ x))
-    bound = opts.residual_tol * liouv.norm_fro() * float(np.linalg.norm(x))
+    bound = RESIDUAL_TOL * liouv.norm_fro() * float(np.linalg.norm(x))
     if not np.isfinite(residual) or residual > bound:
         raise NoConvergenceError(
             f"steady-state residual {residual:.3e} exceeds bound {bound:.3e}",
@@ -522,19 +509,19 @@ def _gmres_refined(constrained, rhs, preconditioner):
     return x
 
 
-def _solve_trace_constrained(liouv: Superoperator, opts: SteadyStateOptions) -> DensityMatrix:
+def _solve_trace_constrained(liouv: Superoperator) -> DensityMatrix:
     constrained, rhs = _constrained_system(liouv)
     preconditioner = _no_jump_preconditioner(liouv)
     x = _gmres_refined(constrained, rhs, preconditioner)
     try:
-        return _finalize(liouv, x, opts, SteadyStateMethod.TRACE_CONSTRAINED.value)
+        return _finalize(liouv, x, SteadyStateMethod.TRACE_CONSTRAINED.value)
     except NoConvergenceError as exc:
         raise _no_convergence(
             liouv.dim, f"acceptance check ({exc})", exc.residual, exc.bound
         ) from exc
 
 
-def _solve_null_space(liouv: Superoperator, opts: SteadyStateOptions) -> DensityMatrix:
+def _solve_null_space(liouv: Superoperator) -> DensityMatrix:
     n = liouv.dim
     if n > _DENSE_NULLSPACE_LIMIT:
         raise InvalidDimensionError(
@@ -549,7 +536,7 @@ def _solve_null_space(liouv: Superoperator, opts: SteadyStateOptions) -> Density
             f"Liouvillian kernel is {kernel_dim}-dimensional; "
             "the steady state is not unique"
         )
-    return _finalize(liouv, vh[-1].conj(), opts, SteadyStateMethod.NULL_SPACE.value)
+    return _finalize(liouv, vh[-1].conj(), SteadyStateMethod.NULL_SPACE.value)
 
 
 def steady_state(
@@ -561,15 +548,15 @@ def steady_state(
     :class:`SolveDiagnostics`, and passes the density-matrix checks (run
     once per solve).  The trace-constrained method is preconditioned GMRES
     alone: it raises :class:`NoConvergenceError` naming the failed step
-    (preconditioner, GMRES run, or a residual above ``residual_tol *
+    (preconditioner, GMRES run, or a residual above ``RESIDUAL_TOL *
     ||L||_F * ||vec(rho)||``).  The null-space method raises
     :class:`InvalidDimensionError` above its dense-SVD size limit and
     :class:`NonUniqueSteadyStateError` when the kernel is degenerate.
     """
     opts = opts or SteadyStateOptions()
     if opts.method is SteadyStateMethod.TRACE_CONSTRAINED:
-        return _solve_trace_constrained(liouv, opts)
-    return _solve_null_space(liouv, opts)
+        return _solve_trace_constrained(liouv)
+    return _solve_null_space(liouv)
 
 
 def evolve(

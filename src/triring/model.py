@@ -14,7 +14,10 @@ All energies and rates are expressed in one common unit; the port loss
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -134,8 +137,24 @@ class SystemParams:
             warnings.warn(
                 f"omega = {self.omega} exceeds {WEAK_DRIVE_FRACTION} * min(kappa_a, kappa_c); "
                 "results leave the weak-drive regime the observables assume",
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
+
+
+# the files a weak-drive warning looks past: this package, the dataclasses
+# module and the __init__ a dataclass generates
+_INTERNAL_FILES = (os.path.dirname(__file__) + os.sep, dataclasses.__file__, "<string>")
+
+
+def _caller_stacklevel() -> int:
+    """The ``warnings.warn`` stacklevel, for the function that calls this
+    one, of the first frame outside ``_INTERNAL_FILES``, so a copy made by
+    ``dataclasses.replace`` inside a sweep also warns at the caller's line.
+    Python 3.12's ``skip_file_prefixes`` does the same."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_INTERNAL_FILES):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)

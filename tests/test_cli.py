@@ -881,6 +881,34 @@ class TestCommandLine:
         assert "dims must be a whole number >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, out, message", [
+        ("point", "missing/x.csv", "cannot write {out}: not a file in an existing directory"),
+        ("point", ".", "cannot write {out}: not a file in an existing directory"),
+        ("sweep", "file", "cannot create output directory {out}: File exists"),
+        ("scenario", "file", "cannot create output directory {out}: File exists"),
+    ], ids=["point-missing-dir", "point-dir", "sweep", "scenario"])
+    def test_unusable_out_is_config_error_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, command, out, message
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a point was solved before --out was checked")
+
+        monkeypatch.setattr(cli, "run_point", no_solve)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "axes": [{"name": "delta", "start": -1, "stop": 1, "count": 2}],
+            "fixed": {"omega": 0.1},
+        } if command == "sweep" else {"params": {"omega": 0.1}}))
+        (tmp_path / "file").write_text("")
+        out = tmp_path / out
+        argv = {
+            "point": ["point", str(config)],
+            "sweep": ["sweep", str(config)],
+            "scenario": ["scenario", "fig2a"],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message.format(out=out)}\n"
+
     @pytest.mark.parametrize("command", ["sweep", "scenario"])
     def test_jobs_zero_is_config_error(self, tmp_path, capsys, command):
         config = tmp_path / "spec.json"

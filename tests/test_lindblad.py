@@ -546,6 +546,9 @@ class TestSteadyState:
         residual = np.linalg.norm(liouv.data @ vec(rho.data))
         bound = 1e-10 * liouv.norm_fro() * np.linalg.norm(vec(rho.data))
         assert residual <= bound
+        assert rho.diagnostics.residual_bound == (
+            lindblad.RESIDUAL_TOL * liouv.norm_fro() * np.linalg.norm(vec(rho.data))
+        )
 
     def test_null_space_agrees_with_trace_constrained(self):
         a = annihilation(6)
@@ -563,11 +566,6 @@ class TestSteadyState:
         with pytest.raises(NonUniqueSteadyStateError):
             steady_state(liouv, SteadyStateOptions(method=SteadyStateMethod.NULL_SPACE))
 
-    def test_options_validation(self):
-        for tol in (0.0, -1e-10, True, "1e-10", None):
-            with pytest.raises(ValueError):
-                SteadyStateOptions(residual_tol=tol)
-
     @pytest.mark.parametrize("method, expected", [
         (SteadyStateMethod.TRACE_CONSTRAINED, SteadyStateMethod.TRACE_CONSTRAINED),
         ("trace-constrained", SteadyStateMethod.TRACE_CONSTRAINED),
@@ -584,23 +582,6 @@ class TestSteadyState:
     def test_unknown_method_refused(self, method):
         with pytest.raises(ValueError, match="is not a valid SteadyStateMethod"):
             SteadyStateOptions(method=method)
-
-    @pytest.mark.parametrize("hermitize", ["no", "false", 0, 1, None, np.bool_(True)])
-    def test_hermitize_must_be_a_bool(self, hermitize):
-        with pytest.raises(ValueError) as exc:
-            SteadyStateOptions(hermitize=hermitize)
-        assert str(exc.value) == f"hermitize must be true or false, got {hermitize!r}"
-
-    def test_residual_tol_stored_as_float(self):
-        tol = SteadyStateOptions(residual_tol=1).residual_tol
-        assert type(tol) is float and tol == 1.0
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
-    def test_non_finite_residual_tol_rejected(self, tol):
-        # either bound would let _finalize accept any candidate, such as the
-        # vacuum of a driven cavity
-        with pytest.raises(ValueError, match="residual_tol must be finite and > 0"):
-            SteadyStateOptions(residual_tol=tol)
 
     def test_null_space_refuses_generators_above_its_limit(self, monkeypatch, fig2_params):
         space = CompositeSpace((4, 4, 4))
@@ -751,13 +732,7 @@ class TestSteadyStateFailures:
         liouv = driven_cavity()
         raw = vec(np.diag([1.0, -1.0] + [0.0] * (liouv.space.dim - 2)))
         with pytest.raises(NoConvergenceError, match=r"\(near-\)zero trace"):
-            lindblad._finalize(liouv, raw, SteadyStateOptions(), "trace-constrained")
-
-    def test_non_hermitian_candidate_without_hermitizing(self):
-        liouv = build_liouvillian(zero_operator((2,)), [])  # every candidate has residual 0
-        raw = vec(np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))
-        with pytest.raises(NonPhysicalStateError, match="not Hermitian"):
-            lindblad._finalize(liouv, raw, SteadyStateOptions(hermitize=False), "null-space")
+            lindblad._finalize(liouv, raw, "trace-constrained")
 
     def test_residual_above_bound(self, monkeypatch):
         refined = lindblad._gmres_refined

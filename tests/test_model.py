@@ -31,6 +31,7 @@ from triring import (
     phase_matching_residual,
     transmission,
 )
+from triring.cli import Axis, SweepSpec, run_sweep
 
 SQ2 = math.sqrt(2) / 2
 
@@ -76,6 +77,14 @@ class TestSystemParams:
         with pytest.warns(UserWarning, match="weak-drive") as record:
             SystemParams(omega=0.6, kappa_a=1.0, kappa_c=1.0)
         assert [w.filename for w in record] == [__file__]
+        # a sweep's copies, made by dataclasses.replace, warn at the caller too
+        with pytest.warns(UserWarning, match="weak-drive") as built:
+            spec = SweepSpec(
+                axes=(Axis("omega", 0.1, 0.8, 2),), fixed=SystemParams(), dims=(2, 1, 2)
+            )
+        with pytest.warns(UserWarning, match="weak-drive") as swept:
+            run_sweep(spec)
+        assert {w.filename for w in [*built, *swept]} == {__file__}
 
     @pytest.mark.parametrize("side", list(DriveSide))
     def test_drive_given_by_name(self, side):
