@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from collections.abc import Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -1048,14 +1049,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except TriringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # a warning names the config file the command read, once per message,
+    # not the frame that raised it (under `python -m` that is runpy's); the
+    # filters still apply, so a run under -W error fails as before
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            status, error = args.func(args), None
+        except ConfigError as exc:
+            status, error = 2, f"config error: {exc}"
+        except TriringError as exc:
+            status, error = 1, f"error: {exc}"
+    source = "".join(f"{getattr(args, a)}: " for a in ("config", "spec") if hasattr(args, a))
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {source}{message}", file=sys.stderr)
+    if error:
+        print(error, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

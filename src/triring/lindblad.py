@@ -132,26 +132,19 @@ class DensityMatrix:
         object.__setattr__(self, "data", data)
 
     @classmethod
-    def from_array(
-        cls,
-        space: CompositeSpace,
-        data: np.ndarray,
-        *,
-        enforce: bool = True,
-        diagnostics: SolveDiagnostics | None = None,
-    ) -> "DensityMatrix":
-        """Wrap an array, optionally hermitizing and renormalizing the trace;
-        a trace that is not a finite number > 0 is refused, not divided by."""
+    def from_array(cls, space: CompositeSpace, data: np.ndarray) -> "DensityMatrix":
+        """Hermitize an array, divide it by its real trace and validate it; a
+        trace that is not a finite number > 0 is refused, not divided by.
+        To check an array as it is, build ``DensityMatrix(space, data)`` and
+        call :meth:`validate`."""
         data = np.asarray(data, dtype=complex)
-        if enforce:
-            data = 0.5 * (data + data.conj().T)
-            tr = np.trace(data).real
-            if not 0 < tr < np.inf:
-                raise NonPhysicalStateError(
-                    f"density matrix trace {tr:.3e} cannot be renormalized to one"
-                )
-            data = data / tr
-        rho = cls(space, data, diagnostics)
+        data = 0.5 * (data + data.conj().T)
+        tr = np.trace(data).real
+        if not 0 < tr < np.inf:
+            raise NonPhysicalStateError(
+                f"density matrix trace {tr:.3e} cannot be renormalized to one"
+            )
+        rho = cls(space, data / tr)
         rho.validate()
         return rho
 
@@ -616,4 +609,4 @@ def evolve(
             )
         if drift > 1e-12:
             rho = rho / tr
-    return DensityMatrix.from_array(space, rho, enforce=True)
+    return DensityMatrix.from_array(space, rho)

@@ -71,9 +71,9 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     row = list(range(n))
     col = [i if i != keep else n for i in range(n)]
     reduced = np.einsum(reshaped, row + col, [keep, n])
-    return DensityMatrix.from_array(
-        CompositeSpace((dims[keep],)), reduced, enforce=False
-    )
+    rho = DensityMatrix(CompositeSpace((dims[keep],)), reduced)
+    rho.validate()
+    return rho
 
 
 def photon_distribution(rho: DensityMatrix, mode: int) -> np.ndarray:

@@ -275,7 +275,7 @@ def test_criterion_8_solver_integrity(fig2_state_555, fig2_point_444, fig2_point
     rho_direct = steady_state(build_liouvillian(h4, c4))
     vacuum = np.zeros((space4.dim, space4.dim), dtype=complex)
     vacuum[0, 0] = 1.0
-    rho0 = DensityMatrix.from_array(space4, vacuum, enforce=False)
+    rho0 = DensityMatrix(space4, vacuum)
     rho_rk4 = evolve(h4, c4, rho0, t_final=50.0, dt=0.01)
     frobenius = float(np.linalg.norm(rho_rk4.data - rho_direct.data))
 

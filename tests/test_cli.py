@@ -3,7 +3,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -1012,6 +1015,13 @@ class TestCommandLine:
         ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}], "fixed": {},
           "outputs": []},
          "outputs must name at least one column; leave it out to get every column"),
+        ({"params": 3}, "params must be an object, got int"),
+        ({"params": {}, "dims": [3, 3]}, "dims must have 3 entries (a, b, c), got (3, 3)"),
+        ({"axes": [], "fixed": {}}, "a sweep needs 1 or 2 axes, got 0"),
+        ({"axes": [{"name": name, "start": 0, "stop": 1, "count": 2}
+                   for name in ("delta", "theta", "kappa_b")], "fixed": {}},
+         "a sweep needs 1 or 2 axes, got 3"),
+        ({"dims": 3}, "point config needs a 'params' object"),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"
@@ -1091,8 +1101,63 @@ class TestCommandLine:
         assert main(["validate", str(config)]) == 2
         assert capsys.readouterr().err == "config error: point config must be a JSON object\n"
 
+    # validate reads a document without "axes" as a point config, so these
+    # two reach the sweep-spec reader only through sweep
+    @pytest.mark.parametrize("doc, message", [
+        (3, "sweep spec must be a JSON object"),
+        ({"axes": [{"name": "delta", "start": 0, "stop": 1, "count": 2}], "fixed": {},
+          "grid": 1},
+         "unknown sweep-spec keys: ['grid']"),
+    ])
+    def test_malformed_sweep_spec_is_a_config_error(self, tmp_path, capsys, doc, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["sweep", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/x.json"]) == 2
+
+    def test_file_that_is_not_json(self, tmp_path, capsys):
+        config = tmp_path / "broken.json"
+        config.write_text('{"params": ')
+        assert main(["validate", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: config file {config} is not valid JSON: "
+        )
+
+    def test_sweep_notes_flagged_points(self, tmp_path, capsys):
+        # no transmission is defined at zero drive
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "axes": [{"name": "omega", "start": 0, "stop": 0.1, "count": 2}],
+            "fixed": {"j_ac": 0.7, "j_ab": 0, "j_bc": 0, "kappa_b": 0}, "dims": [2, 1, 2],
+        }))
+        assert main(["sweep", str(spec), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith("note: 1 grid point(s) carry error flags\n")
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["validate", "omega.json"], 1),
+        (["sweep", "omega.json", "--dims", "2", "--out", "out"], 3),
+    ])
+    def test_weak_drive_warning_names_the_config_file(self, tmp_path, argv, lines):
+        # run as `python -m`, where the first frame outside the package is
+        # runpy's; each distinct message is printed once (omega 0.6, 0.7 and
+        # 0.8 on the swept axis)
+        (tmp_path / "omega.json").write_text(json.dumps({
+            "axes": [{"name": "omega", "start": 0.1, "stop": 0.8, "count": 8}], "fixed": {},
+        }))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "triring.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "warning: omega.json: omega = 0.8 exceeds 0.5" in proc.stderr
+        assert "runpy" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == lines
 
     def test_zero_drive_exit_code(self, tmp_path, capsys):
         config = tmp_path / "point.json"

@@ -218,6 +218,12 @@ class TestBasis:
         with pytest.raises(InvalidEmbeddingError):
             basis_index(CompositeSpace((2, 2)), (2, 0))
 
+    @pytest.mark.parametrize("occupations", [(0,), (0, 0, 0)])
+    def test_occupation_count_must_match_the_modes(self, occupations):
+        message = f"expected 2 occupation numbers, got {len(occupations)}"
+        with pytest.raises(InvalidEmbeddingError, match=message):
+            basis_index(CompositeSpace((2, 2)), occupations)
+
     @pytest.mark.parametrize("dims, strides", [
         ((3, 2, 4), (8, 4, 1)),
         ((3, 1, 2, 4), (8, 8, 4, 1)),

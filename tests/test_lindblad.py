@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import inspect
 import math
 import time
 import tracemalloc
@@ -803,23 +804,33 @@ class TestDensityMatrix:
         rho = DensityMatrix.from_array(CompositeSpace((4,)), raw)
         assert np.trace(rho.data).real == pytest.approx(1.0, abs=1e-12)
 
+    def test_from_array_takes_no_options(self):
+        assert list(inspect.signature(DensityMatrix.from_array).parameters) == ["space", "data"]
+
+    def test_shape_must_match_the_space(self):
+        with pytest.raises(SpaceMismatchError, match=r"shape \(3, 3\), space dimension is 4"):
+            DensityMatrix(CompositeSpace((2, 2)), np.eye(3) / 3)
+
     def test_non_hermitian_rejected_without_enforcement(self):
         bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
         with pytest.raises(NonPhysicalStateError):
-            DensityMatrix.from_array(CompositeSpace((2,)), bad, enforce=False)
+            DensityMatrix(CompositeSpace((2,)), bad).validate()
 
     def test_negative_eigenvalue_rejected(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(NonPhysicalStateError):
-            DensityMatrix.from_array(CompositeSpace((2,)), bad, enforce=False)
+            DensityMatrix(CompositeSpace((2,)), bad).validate()
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
-    @pytest.mark.parametrize("enforce", [False, True])
-    def test_non_finite_entries_rejected(self, entry, enforce):
+    @pytest.mark.parametrize("from_array", [False, True])
+    def test_non_finite_entries_rejected(self, entry, from_array):
         # every comparison with nan is false, so nan passed each check
         bad = np.array([[entry, 0.0], [0.0, 1.0]], dtype=complex)
         with np.errstate(all="ignore"), pytest.raises(NonPhysicalStateError):
-            DensityMatrix.from_array(CompositeSpace((2,)), bad, enforce=enforce)
+            if from_array:
+                DensityMatrix.from_array(CompositeSpace((2,)), bad)
+            else:
+                DensityMatrix(CompositeSpace((2,)), bad).validate()
 
     @pytest.mark.parametrize("diagonal", [[0.0, 0.0], [0.5, -0.5], [-0.5, -0.5]])
     def test_trace_that_cannot_be_renormalized_rejected(self, diagonal):
@@ -836,10 +847,26 @@ class TestEvolve:
         space = CompositeSpace((4,))
         one = np.zeros((4, 4), dtype=complex)
         one[1, 1] = 1.0
-        rho0 = DensityMatrix.from_array(space, one, enforce=False)
+        rho0 = DensityMatrix(space, one)
         rho_t = evolve(zero_operator((4,)), [annihilation(4)], rho0, 1.0, 1e-3)
         occupation = np.trace(rho_t.data @ number(4).data).real
         assert occupation == pytest.approx(np.exp(-1.0), abs=1e-8)
+
+    def test_remainder_step_reaches_t_final(self):
+        # 333 steps of 0.003 and a last one of 0.001: stopping at t = 0.999
+        # would miss exp(-1) by 3.7e-4
+        space = CompositeSpace((4,))
+        one = np.zeros((4, 4), dtype=complex)
+        one[1, 1] = 1.0
+        rho0 = DensityMatrix(space, one)
+        rho_t = evolve(zero_operator((4,)), [annihilation(4)], rho0, t_final=1.0, dt=0.003)
+        occupation = np.trace(rho_t.data @ number(4).data).real
+        assert occupation == pytest.approx(np.exp(-1.0), abs=1e-8)
+
+    def test_state_on_another_space_rejected(self):
+        rho0 = DensityMatrix(CompositeSpace((3,)), np.diag([1.0, 0.0, 0.0]).astype(complex))
+        with pytest.raises(SpaceMismatchError, match="initial state space"):
+            evolve(zero_operator((4,)), [], rho0, t_final=1.0, dt=0.1)
 
     def test_undriven_ring_empties(self, fig2_params):
         import dataclasses
@@ -860,7 +887,7 @@ class TestEvolve:
         rho_ss = steady_state(build_liouvillian(h, c_ops))
         vacuum = np.zeros((space.dim, space.dim), dtype=complex)
         vacuum[0, 0] = 1.0
-        rho0 = DensityMatrix.from_array(space, vacuum, enforce=False)
+        rho0 = DensityMatrix(space, vacuum)
         rho_t = evolve(h, c_ops, rho0, t_final=40.0, dt=0.01)
         assert np.linalg.norm(rho_t.data - rho_ss.data) < 1e-5
 
@@ -869,7 +896,7 @@ class TestEvolve:
         h = Operator(space, 50.0 * (annihilation(4).data + annihilation(4).data.conj().T))
         vacuum = np.zeros((4, 4), dtype=complex)
         vacuum[0, 0] = 1.0
-        rho0 = DensityMatrix.from_array(space, vacuum, enforce=False)
+        rho0 = DensityMatrix(space, vacuum)
         with pytest.raises(StepTooLargeError):
             evolve(h, [annihilation(4)], rho0, t_final=5.0, dt=0.5)
 
@@ -879,16 +906,12 @@ class TestEvolve:
         space = CompositeSpace((3,))
         a = annihilation(3).data
         h = Operator(space, 1e200 * (a + a.conj().T))
-        rho0 = DensityMatrix.from_array(
-            space, np.diag([1.0, 0.0, 0.0]).astype(complex), enforce=False
-        )
+        rho0 = DensityMatrix(space, np.diag([1.0, 0.0, 0.0]).astype(complex))
         with np.errstate(all="ignore"), pytest.raises(StepTooLargeError, match="nan"):
             evolve(h, [], rho0, t_final=3.0, dt=1.0)
 
     def test_step_count_must_be_finite(self):
-        rho0 = DensityMatrix.from_array(
-            CompositeSpace((2,)), np.diag([1.0, 0.0]).astype(complex), enforce=False
-        )
+        rho0 = DensityMatrix(CompositeSpace((2,)), np.diag([1.0, 0.0]).astype(complex))
         for t_final, dt in [(1e308, 1e-308), (1e300, 1e-10)]:
             with pytest.raises(ValueError, match="t_final / dt must be a finite number"):
                 evolve(zero_operator((2,)), [], rho0, t_final=t_final, dt=dt)
@@ -900,7 +923,7 @@ class TestEvolve:
         h = Operator(space, 50.0 * (annihilation(4).data + annihilation(4).data.conj().T))
         vacuum = np.zeros((4, 4), dtype=complex)
         vacuum[0, 0] = 1.0
-        rho0 = DensityMatrix.from_array(space, vacuum, enforce=False)
+        rho0 = DensityMatrix(space, vacuum)
         tracemalloc.start()
         try:
             with pytest.raises(StepTooLargeError):
@@ -911,9 +934,7 @@ class TestEvolve:
         assert peak < 1_000_000
 
     def test_step_validation(self):
-        rho0 = DensityMatrix.from_array(
-            CompositeSpace((2,)), np.diag([1.0, 0.0]).astype(complex), enforce=False
-        )
+        rho0 = DensityMatrix(CompositeSpace((2,)), np.diag([1.0, 0.0]).astype(complex))
         for t_final, dt in [(1.0, 0.0), (0.5, 1.0), (1.0, math.nan), (math.inf, 0.1),
                             (1.0, True), ("1.0", 0.1)]:
             with pytest.raises(ValueError):

@@ -124,7 +124,7 @@ class TestDriveSide:
         for mode, p in ((output, 0.01), (driven, 0.02)):
             occupied[basis_index(space, tuple(int(m == mode) for m in range(3)))] = p
         occupied[0] = 1.0 - occupied.sum()
-        rho = DensityMatrix.from_array(space, np.diag(occupied).astype(complex), enforce=False)
+        rho = DensityMatrix(space, np.diag(occupied).astype(complex))
         assert transmission(rho, params) == pytest.approx(1.0, rel=1e-12)
 
 

@@ -43,7 +43,7 @@ def fock_density(space, occupations):
     rho = np.zeros((space.dim, space.dim), dtype=complex)
     idx = basis_index(space, occupations)
     rho[idx, idx] = 1.0
-    return DensityMatrix.from_array(space, rho, enforce=False)
+    return DensityMatrix(space, rho)
 
 
 def coherent_cavity_state(dim=8, delta=0.0, kappa=1.0, omega=0.1):
@@ -87,7 +87,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(17)
         parts = [random_density_matrix(rng, d) for d in (2, 3, 2)]
         joint = np.kron(np.kron(parts[0], parts[1]), parts[2])
-        rho = DensityMatrix.from_array(CompositeSpace((2, 3, 2)), joint, enforce=False)
+        rho = DensityMatrix(CompositeSpace((2, 3, 2)), joint)
         np.testing.assert_allclose(partial_trace(rho, 2).data, parts[2], atol=1e-13)
         np.testing.assert_allclose(partial_trace(rho, 1).data, parts[1], atol=1e-13)
 
@@ -251,7 +251,7 @@ class TestTransmission:
         idx1 = 1          # |0, 1>: one photon in mode c
         diag[idx0] = 0.99
         diag[idx1] = 0.01
-        rho = DensityMatrix.from_array(space, np.diag(diag).astype(complex), enforce=False)
+        rho = DensityMatrix(space, np.diag(diag).astype(complex))
         params = SystemParams(omega=0.1, kappa_a=1.0, kappa_c=1.0, drive=DriveSide.LEFT)
         assert transmission(rho, params) == pytest.approx(1.0, abs=1e-12)
 
@@ -263,9 +263,7 @@ class TestTransmission:
     def test_drive_side_selects_output_mode(self):
         space = CompositeSpace((2, 1, 2))
         # |0, 0>, |0, 1> and |1, 0> of modes (a, c): <n_a> = 0.02, <n_c> = 0.01
-        rho = DensityMatrix.from_array(
-            space, np.diag([0.97, 0.01, 0.02, 0.0]).astype(complex), enforce=False
-        )
+        rho = DensityMatrix(space, np.diag([0.97, 0.01, 0.02, 0.0]).astype(complex))
         left = SystemParams(omega=0.1, drive=DriveSide.LEFT)
         right = SystemParams(omega=0.1, drive=DriveSide.RIGHT)
         assert transmission(rho, left) == pytest.approx(1.0)

@@ -32,7 +32,7 @@ from triring.cli import Axis, SweepSpec, baseline_params, load_point_config
 
 def diagonal_state(populations, dims=None):
     space = CompositeSpace(dims or (len(populations),))
-    return DensityMatrix.from_array(space, np.diag(populations).astype(complex), enforce=False)
+    return DensityMatrix(space, np.diag(populations).astype(complex))
 
 
 # five modes, so that mode index 4 exists; only the last one has levels
