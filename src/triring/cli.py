@@ -398,6 +398,18 @@ class SweepSpec:
                 raise ConfigError(
                     f"unknown output columns {unknown}; allowed: {sorted(allowed)}"
                 )
+            # a _fwd column needs the left side, a _bwd column the right
+            # side, and isolation and ratio need both
+            sides = _DIRECTIONS[self.directions]
+            missing = tuple(f"_{_SUFFIX[s]}" for s in DriveSide if s not in sides)
+            unfilled = [c for c in self.outputs
+                        if missing and (c in ("isolation", "ratio") or c.endswith(missing))]
+            if unfilled:
+                raise ConfigError(
+                    f"output columns {unfilled} need a drive side that directions "
+                    f"{self.directions!r} does not solve: a _fwd column needs the "
+                    "left side, a _bwd column the right side, isolation and ratio both"
+                )
 
     @property
     def n_points(self) -> int:

@@ -85,6 +85,35 @@ def _finite_float(value, what: str, error: type[Exception]) -> float:
     return number
 
 
+def _member(enum, value, what: str, error: type[Exception]):
+    """``enum(value)``: a member or its value; ``error`` naming ``what``
+    and the values the enum takes otherwise."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise error(
+            f"{what} must be a {enum.__name__} or one of "
+            f"{[m.value for m in enum]}, got {value!r}"
+        ) from None
+
+
+def _square(space: CompositeSpace, data, what: str) -> np.ndarray:
+    """``data`` as a complex array; :class:`SpaceMismatchError` naming
+    ``what`` unless it is ``space.dim x space.dim``."""
+    data = np.asarray(data, dtype=complex)
+    d = space.dim
+    if data.shape != (d, d):
+        raise SpaceMismatchError(f"{what} has shape {data.shape}, space dimension is {d}")
+    return data
+
+
+def _same_space(space: CompositeSpace, other: CompositeSpace, what: str) -> None:
+    """:class:`SpaceMismatchError` naming ``what`` and both spaces unless
+    ``space == other``."""
+    if space != other:
+        raise SpaceMismatchError(f"{what}: {space.mode_dims} vs {other.mode_dims}")
+
+
 @dataclass(frozen=True)
 class ModeSpace:
     """A single bosonic mode keeping the Fock states |0> ... |dim-1>."""
@@ -177,23 +206,13 @@ class Operator:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        d = self.space.dim
-        if data.shape != (d, d):
-            raise SpaceMismatchError(
-                f"operator data has shape {data.shape}, space dimension is {d}"
-            )
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _square(self.space, self.data, "operator data"))
 
     def dag(self) -> "Operator":
         return adjoint(self)
 
     def _same_space(self, other: "Operator"):
-        if self.space != other.space:
-            raise SpaceMismatchError(
-                f"operands act on different spaces: "
-                f"{self.space.mode_dims} vs {other.space.mode_dims}"
-            )
+        _same_space(self.space, other.space, "operands act on different spaces")
 
     def __add__(self, other):
         if not isinstance(other, Operator):

@@ -47,10 +47,9 @@ from .errors import (
     NoConvergenceError,
     NonPhysicalStateError,
     NonUniqueSteadyStateError,
-    SpaceMismatchError,
     StepTooLargeError,
 )
-from .fock import CompositeSpace, Operator, _finite_float
+from .fock import CompositeSpace, Operator, _finite_float, _same_space, _square
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -123,13 +122,7 @@ class DensityMatrix:
     )
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        d = self.space.dim
-        if data.shape != (d, d):
-            raise SpaceMismatchError(
-                f"density matrix has shape {data.shape}, space dimension is {d}"
-            )
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _square(self.space, self.data, "density matrix"))
 
     @classmethod
     def from_array(cls, space: CompositeSpace, data: np.ndarray) -> "DensityMatrix":
@@ -137,7 +130,7 @@ class DensityMatrix:
         trace that is not a finite number > 0 is refused, not divided by.
         To check an array as it is, build ``DensityMatrix(space, data)`` and
         call :meth:`validate`."""
-        data = np.asarray(data, dtype=complex)
+        data = _square(space, data, "density matrix")
         data = 0.5 * (data + data.conj().T)
         tr = np.trace(data).real
         if not 0 < tr < np.inf:
@@ -298,11 +291,7 @@ def build_liouvillian(hamiltonian: Operator, c_ops: list[Operator]) -> Superoper
 
     space = hamiltonian.space
     for op in c_ops:
-        if op.space != space:
-            raise SpaceMismatchError(
-                "collapse operator space does not match the Hamiltonian: "
-                f"{op.space.mode_dims} vs {space.mode_dims}"
-            )
+        _same_space(op.space, space, "collapse operator space does not match the Hamiltonian")
     d = space.dim
     n = d * d
     eye = sp.identity(d, format="csr", dtype=complex)
@@ -575,8 +564,7 @@ def evolve(
         raise ValueError(f"t_final must be >= dt, got {t_final} < {dt}")
     n_full = int(_finite_float(t_final / dt, "t_final / dt", ValueError))
     space = hamiltonian.space
-    if rho0.space != space:
-        raise SpaceMismatchError("initial state space does not match the Hamiltonian")
+    _same_space(rho0.space, space, "initial state space does not match the Hamiltonian")
     h = hamiltonian.data
     cs = [op.data for op in c_ops]
     cdags = [c.conj().T for c in cs]

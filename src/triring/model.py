@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedAsymmetryError,
 )
 # embed is unused: bench/tracing.py wraps it, tests/test_bench_contract.py pins it
-from .fock import CompositeSpace, Operator, _finite_float, embed
+from .fock import CompositeSpace, Operator, _finite_float, _member, embed
 from .scattering import LinearModel
 
 __all__ = [
@@ -108,13 +108,7 @@ class SystemParams:
     kappa_b: float = 0.0
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "drive", DriveSide(self.drive))
-        except ValueError:
-            raise InvalidRateError(
-                f"drive must be a DriveSide or one of "
-                f"{[side.value for side in DriveSide]}, got {self.drive!r}"
-            ) from None
+        object.__setattr__(self, "drive", _member(DriveSide, self.drive, "drive", InvalidRateError))
         for f in fields(self):
             if f.name != "drive":
                 value = _finite_float(getattr(self, f.name), f.name, InvalidRateError)
@@ -334,13 +328,7 @@ def optimal_condition(
     ``direction`` is a :class:`TransmissionDirection` or its value
     (``"forward"``, ``"backward"``), else :class:`InvalidRateError`.
     """
-    try:
-        direction = TransmissionDirection(direction)
-    except ValueError:
-        raise InvalidRateError(
-            f"direction must be a TransmissionDirection or one of "
-            f"{[d.value for d in TransmissionDirection]}, got {direction!r}"
-        ) from None
+    direction = _member(TransmissionDirection, direction, "direction", InvalidRateError)
     theta = _finite_float(theta, "theta", InvalidRateError)
     kappa = _finite_float(kappa, "kappa", InvalidRateError)
     if kappa <= 0:

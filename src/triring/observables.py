@@ -17,11 +17,10 @@ import numpy as np
 from .errors import (
     InsufficientPopulationError,
     InvalidDimensionError,
-    SpaceMismatchError,
     UndefinedRatioError,
     UndefinedTransmissionError,
 )
-from .fock import CompositeSpace, Operator, _finite_float, _mode_index, _whole_number
+from .fock import CompositeSpace, Operator, _finite_float, _mode_index, _same_space, _whole_number
 from .lindblad import DensityMatrix, _check_state
 from .model import SystemParams
 
@@ -52,11 +51,7 @@ def _check_floor(mean: float, mode: int, reading: str) -> None:
 
 def expectation(rho: DensityMatrix, op: Operator) -> complex:
     """tr(rho A)."""
-    if rho.space != op.space:
-        raise SpaceMismatchError(
-            f"state and operator spaces differ: "
-            f"{rho.space.mode_dims} vs {op.space.mode_dims}"
-        )
+    _same_space(rho.space, op.space, "state and operator spaces differ")
     return complex(np.einsum("ij,ji->", rho.data, op.data))
 
 

@@ -529,6 +529,47 @@ class TestSweepSpec:
             assert capsys.readouterr().err == f"config error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
+    # a column no solved side fills would be written empty in every row
+    @pytest.mark.parametrize("directions, outputs, unfilled", [
+        ("left", ["t_bwd", "g2_bwd", "ratio", "isolation"], ["t_bwd", "g2_bwd", "ratio", "isolation"]),
+        ("left", ["t_fwd", "n_a_bwd", "drift_t_fwd"], ["n_a_bwd"]),
+        ("right", ["t_bwd", "p0_fwd", "isolation"], ["p0_fwd", "isolation"]),
+    ])
+    def test_outputs_need_the_sides_that_fill_them(
+        self, tmp_path, capsys, directions, outputs, unfilled
+    ):
+        message = (
+            f"output columns {unfilled} need a drive side that directions {directions!r} "
+            "does not solve: a _fwd column needs the left side, a _bwd column the "
+            "right side, isolation and ratio both"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SweepSpec(
+                axes=(Axis("delta", -1.0, 1.0, 3),), fixed=two_cavity_params(), dims=(3, 1, 3),
+                directions=directions, outputs=outputs, convergence_check=True,
+            )
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "axes": [{"name": "delta", "start": -1, "stop": 1, "count": 3}],
+            "fixed": {"omega": 0.1, "j_ac": 0.7, "u": 5.0}, "dims": [3, 1, 3],
+            "directions": directions, "outputs": outputs, "convergence_check": True,
+        }))
+        assert main(["validate", str(spec)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("directions, outputs", [
+        ("left", ("t_fwd", "g2_fwd", "n_b_fwd")),
+        ("right", ("t_bwd", "p1_bwd")),
+    ])
+    def test_one_sided_outputs_are_filled(self, directions, outputs):
+        spec = SweepSpec(
+            axes=(Axis("delta", -1.0, 1.0, 2),), fixed=two_cavity_params(), dims=(3, 1, 3),
+            directions=directions, outputs=outputs,
+        )
+        result = run_sweep(spec, jobs=1)
+        filled = [result.columns.index(c) for c in outputs]
+        assert all(row[i] is not None for row in result.rows for i in filled)
+
     def test_grid_is_row_major(self):
         spec = SweepSpec(
             axes=(Axis("delta", 0.0, 1.0, 2), Axis("kappa_b", 0.0, 2.0, 3)),
@@ -556,6 +597,31 @@ class TestSweepExecution:
         parallel = run_sweep(tiny_spec(), jobs=2)
         assert serial.columns == parallel.columns
         assert serial.rows == parallel.rows
+
+    def test_pool_under_python_m_matches_serial(self, tmp_path):
+        # as the command line runs it, the pool's worker pickles as
+        # __main__._sweep_worker
+        (tmp_path / "tiny.json").write_text(json.dumps({
+            "name": "tiny", "dims": [3, 1, 3], "fixed": cli.params_to_dict(two_cavity_params()),
+            "axes": [{"name": "delta", "start": -1.0, "stop": 1.0, "count": 3}],
+        }))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        for jobs in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "triring.cli", "sweep", "tiny.json",
+                 "--jobs", jobs, "--out", f"jobs{jobs}"],
+                capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        serial, pooled = tmp_path / "jobs1", tmp_path / "jobs2"
+        for name in ("tiny.csv", "tiny.json"):
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+        manifests = [json.loads((out / "tiny_manifest.json").read_text()) for out in (serial, pooled)]
+        for manifest in manifests:
+            del manifest["wall_time_s"]
+        assert manifests[0] == manifests[1]
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):

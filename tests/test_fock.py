@@ -5,6 +5,7 @@ import pytest
 
 from triring import (
     CompositeSpace,
+    DensityMatrix,
     InvalidDimensionError,
     InvalidEmbeddingError,
     ModeSpace,
@@ -14,8 +15,11 @@ from triring import (
     annihilation,
     basis_index,
     basis_state,
+    build_liouvillian,
     creation,
     embed,
+    evolve,
+    expectation,
     identity,
     number,
     tensor,
@@ -272,6 +276,25 @@ class TestOperatorAlgebra:
     def test_space_mismatch_raises(self):
         with pytest.raises(SpaceMismatchError):
             identity(2) + identity(3)
+
+    # one rule for every site: the refusal names both spaces
+    @pytest.mark.parametrize("site, message", [
+        ("operator +", "operands act on different spaces: (2,) vs (3,)"),
+        ("expectation", "state and operator spaces differ: (3,) vs (2,)"),
+        ("build_liouvillian", "collapse operator space does not match the Hamiltonian: (3,) vs (2,)"),
+        ("evolve", "initial state space does not match the Hamiltonian: (3,) vs (2,)"),
+    ])
+    def test_every_same_space_refusal_names_both_spaces(self, site, message):
+        rho = DensityMatrix(CompositeSpace((3,)), np.diag([1.0, 0.0, 0.0]))
+        calls = {
+            "operator +": lambda: identity(2) + identity(3),
+            "expectation": lambda: expectation(rho, identity(2)),
+            "build_liouvillian": lambda: build_liouvillian(identity(2), [annihilation(3)]),
+            "evolve": lambda: evolve(identity(2), [], rho, t_final=1.0, dt=0.1),
+        }
+        with pytest.raises(SpaceMismatchError) as info:
+            calls[site]()
+        assert str(info.value) == message
 
     def test_scalar_and_matmul(self):
         a = annihilation(3)

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import inspect
 import math
+import re
 import time
 import tracemalloc
 from collections import OrderedDict
@@ -810,6 +811,14 @@ class TestDensityMatrix:
     def test_shape_must_match_the_space(self):
         with pytest.raises(SpaceMismatchError, match=r"shape \(3, 3\), space dimension is 4"):
             DensityMatrix(CompositeSpace((2, 2)), np.eye(3) / 3)
+
+    # a non-square array used to fail inside the hermitization with numpy's
+    # broadcast error
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 8), (4,)])
+    def test_from_array_checks_the_shape_first(self, shape):
+        shown = re.escape(f"shape {shape}, space dimension is 4")
+        with pytest.raises(SpaceMismatchError, match=shown):
+            DensityMatrix.from_array(CompositeSpace((2, 2)), np.ones(shape))
 
     def test_non_hermitian_rejected_without_enforcement(self):
         bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
