@@ -184,14 +184,16 @@ _SUFFIX = {DriveSide.LEFT: "fwd", DriveSide.RIGHT: "bwd"}
 _MODE_NAMES = {MODE_A: "a", MODE_B: "b", MODE_C: "c"}
 
 
-def _point_args(dims, directions, convergence_check) -> tuple[tuple[int, ...], str, bool]:
-    """The point inputs besides the parameters, checked and normalized; the
-    one rule that ``run_point``, ``SweepSpec`` and the config readers apply."""
+def _point_args(params, dims, directions, convergence_check) -> tuple[tuple[int, ...], str, bool]:
+    """A point's inputs checked and normalized, a coupled or driven one-level mode
+    refused; the one rule that ``run_point``, ``SweepSpec`` and the config readers apply."""
     dims = _parse_dims(dims)
     # an unhashable value from JSON is not a key either
     if not isinstance(directions, str) or directions not in _DIRECTIONS:
         raise ConfigError(f"directions must be 'both', 'left' or 'right', got {directions!r}")
-    return dims, directions, _flag(convergence_check, "convergence_check", ConfigError)
+    convergence_check = _flag(convergence_check, "convergence_check", ConfigError)
+    _check_levels(params, dims, _DIRECTIONS[directions], ConfigError)
+    return dims, directions, convergence_check
 
 
 def _solve_direction(params: SystemParams, dims: tuple[int, ...]) -> dict:
@@ -238,9 +240,8 @@ def run_point(
     :class:`PointEvaluationError` naming the failing direction; otherwise
     failures become error flags on the result.
     """
-    dims, directions, convergence_check = _point_args(dims, directions, convergence_check)
+    dims, directions, convergence_check = _point_args(params, dims, directions, convergence_check)
     _flag(strict, "strict", ConfigError)
-    _check_levels(params, dims, _DIRECTIONS[directions], ConfigError)
     fields: dict = {}
     resolve_notes = []
     for side in _DIRECTIONS[directions]:
@@ -338,22 +339,20 @@ class SweepSpec:
         names = [ax.name for ax in self.axes]
         if len(set(names)) != len(names):
             raise ConfigError(f"sweep axes must be distinct, got {names}")
-        checked = _point_args(self.dims, self.directions, self.convergence_check)
-        for field, value in zip(("dims", "directions", "convergence_check"), checked):
-            object.__setattr__(self, field, value)
-        # an axis takes a nonzero value somewhere, since start != stop
-        swept = {t for ax in self.axes for t in _SHORTHAND.get(ax.name, (ax.name,))}
-        _check_levels(self.fixed, self.dims, _DIRECTIONS[self.directions], ConfigError, swept)
-        # the grid is linear and each parameter bound involves one field, so
-        # an axis that keeps its two ends in range keeps every point in range
+        # the grid is linear and each parameter bound, coupling and drive
+        # involves one field, so the two ends of an axis, one of them nonzero,
+        # show every bound and acting term that any grid point meets
         for ax in self.axes:
             for value in (ax.start, ax.stop):
                 try:
-                    apply_axis(self.fixed, ax.name, value)
+                    end = apply_axis(self.fixed, ax.name, value)
                 except TriringError as exc:
                     raise ConfigError(
                         f"axis {ax.name!r} leaves the parameter range: {exc}"
                     ) from exc
+                checked = _point_args(end, self.dims, self.directions, self.convergence_check)
+        for field, value in zip(("dims", "directions", "convergence_check"), checked):
+            object.__setattr__(self, field, value)
         point_cap = _whole_number(self.point_cap, "point_cap", ConfigError, minimum=1)
         object.__setattr__(self, "point_cap", point_cap)
         # the name is the basename of the files a sweep writes into its
@@ -897,9 +896,8 @@ def load_point_config(doc: dict) -> tuple[SystemParams, tuple[int, ...], str, bo
         raise ConfigError("point config needs a 'params' object")
     params = params_from_dict(doc["params"])
     dims, directions, convergence_check = _point_args(
-        doc.get("dims"), doc.get("directions", "both"), doc.get("convergence_check", False)
+        params, doc.get("dims"), doc.get("directions", "both"), doc.get("convergence_check", False)
     )
-    _check_levels(params, dims, _DIRECTIONS[directions], ConfigError)
     return params, dims, directions, convergence_check
 
 
@@ -941,9 +939,9 @@ def _load_json(path: str) -> dict:
 
 def _cmd_point(args) -> int:
     doc = _load_json(args.config)
+    if args.dims is not None and isinstance(doc, dict):
+        doc["dims"] = args.dims
     params, dims, directions, convergence = load_point_config(doc)
-    if args.dims is not None:
-        dims = _parse_dims(args.dims)
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         raise ConfigError(f"cannot write {args.out}: not a file in an existing directory")
     result = run_point(
@@ -965,9 +963,10 @@ def _formats(args) -> tuple[str, ...]:
 
 
 def _cmd_sweep(args) -> int:
-    spec = load_sweep_spec(_load_json(args.spec))
-    if args.dims is not None:
-        spec = dataclasses.replace(spec, dims=args.dims)
+    doc = _load_json(args.spec)
+    if args.dims is not None and isinstance(doc, dict):
+        doc["dims"] = args.dims
+    spec = load_sweep_spec(doc)
     # a bad count creates no directory; a bad directory fails before any solve
     _worker_count(args.jobs)
     out_dir = _out_dir(args.out)

@@ -207,17 +207,14 @@ def _couplings(params: SystemParams) -> tuple:
 
 
 def _check_levels(
-    params: SystemParams, mode_dims: tuple[int, ...], sides, error: type[Exception], swept=()
+    params: SystemParams, mode_dims: tuple[int, ...], sides, error: type[Exception]
 ) -> None:
     """``error`` naming the parameter and the mode where a nonzero coupling
     couples a one-level mode, or a drive side in ``sides`` drives one while
-    omega is nonzero.  A parameter named in ``swept`` counts as nonzero.
-    Detuning and Kerr terms vanish on one level, so they never conflict."""
-    acting = [
-        (name, (x, y)) for name, coeff, x, y in _couplings(params)
-        if coeff != 0.0 or name in swept
-    ]
-    if params.omega != 0.0 or "omega" in swept:
+    omega is nonzero.  Detuning and Kerr terms vanish on one level, so they
+    never conflict."""
+    acting = [(name, (x, y)) for name, coeff, x, y in _couplings(params) if coeff != 0.0]
+    if params.omega != 0.0:
         for side in sides:
             acting.append((f"omega (drive {side.value!r})", (side.driven_mode,)))
     for name, modes in acting:

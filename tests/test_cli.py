@@ -833,15 +833,16 @@ class TestConfigDocuments:
         assert spec.axes[0].count == 5
         assert spec.dims == (3, 1, 3)
 
-    @pytest.mark.parametrize("fixed, axis, directions, shown", [
-        ({"omega": 0.1}, "j_ac", "right", "j_ac acts on mode a"),
-        ({"omega": 0.0}, "omega", "left", "omega (drive 'left') acts on mode a"),
-        ({"omega": 0.1, "j_ab": 0.5}, "delta", "right", "j_ab acts on mode a"),
-    ])
-    def test_sweep_spec_one_level_coupled_mode_refused(self, fixed, axis, directions, shown):
+    @pytest.mark.parametrize("fixed, axes, directions, shown", [
+        ({"omega": 0.1}, ["j_ac"], "right", "j_ac acts on mode a"),
+        ({"omega": 0.0}, ["omega"], "left", "omega (drive 'left') acts on mode a"),
+        ({"omega": 0.1, "j_ab": 0.5}, ["delta"], "right", "j_ab acts on mode a"),
+        ({"omega": 0.1}, ["j_ac", "delta"], "right", "j_ac acts on mode a"),
+    ], ids=lambda value: "-".join(value) if isinstance(value, list) else None)
+    def test_sweep_spec_one_level_coupled_mode_refused(self, fixed, axes, directions, shown):
         # an axis is nonzero somewhere on its grid, whatever the fixed value
         doc = {
-            "axes": [{"name": axis, "start": 0, "stop": 0.2, "count": 3}],
+            "axes": [{"name": axis, "start": 0, "stop": 0.2, "count": 3} for axis in axes],
             "fixed": fixed, "dims": [1, 3, 3], "directions": directions,
         }
         with pytest.raises(ConfigError, match="^" + re.escape(shown)):
@@ -917,6 +918,30 @@ class TestCommandLine:
         }))
         assert main(["sweep", str(spec), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["point", "sweep"])
+    def test_dims_option_replaces_the_document_dims_before_it_is_read(
+        self, tmp_path, capsys, command
+    ):
+        # refused at its own dims, where mode b has one level; validate
+        # still checks the document as written
+        doc = {"params": {"omega": 0.1, "j_ab": 0.5}, "dims": [3, 1, 3]}
+        if command == "sweep":
+            doc = {"axes": [{"name": "delta", "start": -1, "stop": 1, "count": 2}],
+                   "fixed": doc["params"], "dims": doc["dims"]}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert main(["validate", str(config)]) == 2
+        out = tmp_path / "out"
+        argv = {
+            "point": ["point", str(config), "--format", "csv"],
+            "sweep": ["sweep", str(config), "--out", str(out), "--jobs", "1"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--dims", "2"]) == 0, capsys.readouterr().err
+        if command == "sweep":
+            manifest = json.loads((out / "sweep_manifest.json").read_text())
+            assert manifest["dims"] == [2, 2, 2]
 
     def test_point_command_csv_stdout_matches_file(self, tmp_path, capsys):
         config = tmp_path / "point.json"

@@ -296,7 +296,19 @@ class TestOperatorAlgebra:
             calls[site]()
         assert str(info.value) == message
 
+    # a non-operator operand, or an operator as a scalar, is Python's TypeError
+    @pytest.mark.parametrize("combine", [
+        lambda op: op + 1,
+        lambda op: op - "x",
+        lambda op: op * op,
+        lambda op: op @ 2,
+    ], ids=["add", "sub", "mul", "matmul"])
+    def test_unsupported_operand_raises_type_error(self, combine):
+        with pytest.raises(TypeError):
+            combine(annihilation(3))
+
     def test_scalar_and_matmul(self):
         a = annihilation(3)
         assert np.array_equal((2.0 * a).data, 2.0 * a.data)
+        assert np.array_equal((-a).data, -a.data)
         assert np.array_equal((a @ a.dag()).data, a.data @ a.data.conj().T)
