@@ -47,12 +47,14 @@ from .errors import (
 from .fock import CompositeSpace, _finite_float, _flag, _whole_number
 from .lindblad import build_liouvillian, steady_state
 from .model import (
+    MODE_A,
+    MODE_B,
+    MODE_C,
     DriveSide,
     SystemParams,
-    TransmissionDirection,
+    _check_levels,
     build_hamiltonian,
     collapse_operators,
-    optimal_condition,
 )
 from .observables import (
     PointResult,
@@ -66,10 +68,12 @@ from .observables import (
 )
 from .scattering import (
     LinearModel,
+    TransmissionDirection,
+    optimal_condition,
+    phase_matching_residual,
     scattering_matrix,
     transmission_closed_form,
 )
-from .model import MODE_A, MODE_B, MODE_C, _check_levels, phase_matching_residual
 
 __all__ = [
     "Axis",
@@ -521,7 +525,7 @@ def run_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            solved = pool.map(_sweep_worker, missing, chunksize=8)
+            solved = pool.map(_sweep_worker, missing)
             memo.update(zip(missing, solved))
     else:
         memo.update((key, _sweep_worker(key)) for key in missing)
@@ -777,12 +781,9 @@ def _conditions_check_table(specs: list[SweepSpec]) -> tuple:
         targets = (1.0, 0.0) if direction is TransmissionDirection.FORWARD else (0.0, 1.0)
         for theta in thetas:
             cond = optimal_condition(direction, float(theta), kappa=1.0)
-            s = scattering_matrix(cond.as_linear_model(), cond.delta)
-            params = SystemParams(
-                j_ab=cond.j, j_bc=cond.j, j_ac=cond.j_ac, theta=cond.theta,
-                kappa_a=1.0, kappa_c=1.0, kappa_b=cond.kappa_b,
-            )
-            amp, phase = phase_matching_residual(params, cond.delta)
+            network = cond.as_linear_model()
+            s = scattering_matrix(network, cond.delta)
+            amp, phase = phase_matching_residual(network, cond.delta)
             rows.append([
                 float(theta), direction.value, cond.delta, cond.j_ac,
                 cond.theta, str(cond.phase_folded).lower(),

@@ -1,5 +1,4 @@
-"""Driven three-cavity ring: Hamiltonian, collapse operators, and the
-closed-form optimal working points of its linearized network.
+"""Driven three-cavity ring: its parameters, Hamiltonian and collapse operators.
 
 Two Kerr-nonlinear cavities (a and c) are coupled directly with a complex
 amplitude ``j_ac * exp(i*theta)`` and indirectly through a lossy linear
@@ -24,28 +23,18 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegeneratePhaseError,
-    InvalidRateError,
-    InvalidSpaceError,
-    UnsupportedAsymmetryError,
-)
+from .errors import InvalidRateError, InvalidSpaceError
 # embed is unused: bench/tracing.py wraps it, tests/test_bench_contract.py pins it
 from .fock import CompositeSpace, Operator, _finite_float, _member, embed
-from .scattering import LinearModel
 
 __all__ = [
     "MODE_A",
     "MODE_B",
     "MODE_C",
     "DriveSide",
-    "TransmissionDirection",
     "SystemParams",
-    "OptimalCondition",
     "build_hamiltonian",
     "collapse_operators",
-    "optimal_condition",
-    "phase_matching_residual",
 ]
 
 MODE_A, MODE_B, MODE_C = 0, 1, 2
@@ -73,11 +62,6 @@ class DriveSide(Enum):
         """The mode whose occupation gives T and whose g<n> are read: the
         other port, c or a."""
         return MODE_C if self is DriveSide.LEFT else MODE_A
-
-
-class TransmissionDirection(Enum):
-    FORWARD = "forward"    # a -> c
-    BACKWARD = "backward"  # c -> a
 
 
 @dataclass(frozen=True)
@@ -149,41 +133,6 @@ def _caller_stacklevel() -> int:
     while frame.f_back is not None and frame.f_code.co_filename.startswith(_INTERNAL_FILES):
         frame, level = frame.f_back, level + 1
     return level
-
-
-@dataclass(frozen=True)
-class OptimalCondition:
-    """Parameter set for complete one-way transmission at equal port losses.
-
-    ``theta`` is the effective coupling phase: when the raw closed form
-    yields a negative direct coupling, its sign is folded into the phase
-    (``phase_folded`` is then True) so that ``j_ac`` stays a magnitude.
-    """
-
-    direction: TransmissionDirection
-    delta: float
-    j_ac: float
-    j: float
-    kappa_b: float
-    theta: float
-    phase_folded: bool
-
-    def as_linear_model(self) -> LinearModel:
-        """Linear network with equal port losses satisfying this condition.
-
-        Evaluate the scattering matrix at probe frequency ``delta`` (bare
-        frequencies are zero here, so probe frequency equals detuning).
-        """
-        kappa = self.kappa_b
-        return LinearModel(
-            j_ab=self.j,
-            j_bc=self.j,
-            j_ac=self.j_ac,
-            theta=self.theta,
-            kappa_a=kappa,
-            kappa_c=kappa,
-            kappa_b=self.kappa_b,
-        )
 
 
 def _occupations(space: CompositeSpace) -> np.ndarray:
@@ -311,71 +260,3 @@ def collapse_operators(params: SystemParams, space: CompositeSpace) -> list[Oper
         data[rows, cols] = math.sqrt(rate) * np.sqrt(n[mode, cols])
         out.append(Operator(space, data))
     return out
-
-
-def optimal_condition(
-    direction: TransmissionDirection, theta: float, kappa: float
-) -> OptimalCondition:
-    """Parameters for complete one-way transmission at equal port losses.
-
-    Forward (a -> c):  delta = kappa / (2 tan theta),  j_ac = -kappa / (2 sin theta)
-    Backward (c -> a): both signs flipped.  In either case j = |j_ac| and
-    kappa_b = kappa.  A negative raw j_ac is folded into the phase,
-    ``theta -> theta + pi``, keeping the reported coupling non-negative.
-    ``direction`` is a :class:`TransmissionDirection` or its value
-    (``"forward"``, ``"backward"``), else :class:`InvalidRateError`.
-    """
-    direction = _member(TransmissionDirection, direction, "direction", InvalidRateError)
-    theta = _finite_float(theta, "theta", InvalidRateError)
-    kappa = _finite_float(kappa, "kappa", InvalidRateError)
-    if kappa <= 0:
-        raise InvalidRateError(f"kappa must be > 0, got {kappa}")
-    s = math.sin(theta)
-    if abs(s) < 1e-12:
-        raise DegeneratePhaseError(
-            f"optimal conditions are undefined at theta = {theta}: sin(theta) vanishes"
-        )
-    sign = 1.0 if direction is TransmissionDirection.FORWARD else -1.0
-    delta = sign * kappa * math.cos(theta) / (2.0 * s)
-    j_ac_raw = -sign * kappa / (2.0 * s)
-    folded = j_ac_raw < 0
-    return OptimalCondition(
-        direction=direction,
-        delta=delta,
-        j_ac=abs(j_ac_raw),
-        j=abs(j_ac_raw),
-        kappa_b=kappa,
-        theta=theta + math.pi if folded else theta,
-        phase_folded=folded,
-    )
-
-
-def _distance_to_pi(x: float) -> float:
-    """|x - pi| reduced modulo 2 pi into [0, pi]."""
-    return abs(math.remainder(x - math.pi, 2.0 * math.pi))
-
-
-def phase_matching_residual(params: SystemParams, delta: float) -> tuple[float, float]:
-    """How far a parameter set is from the two-channel interference condition.
-
-    The destructive-interference condition for nonreciprocal transmission is
-    j_ac * |delta + i kappa_b / 2| = j**2 together with a phase match
-    phi -+ theta = pi (mod 2 pi), where phi = arg(delta + i kappa_b / 2) is
-    the loss-induced phase lag.  Returns (amplitude residual, phase residual)
-    with the phase residual minimized over both branches and reduced to
-    [0, pi].  Requires j_ab == j_bc and a finite ``delta``.
-    """
-    delta = _finite_float(delta, "delta", InvalidRateError)
-    if params.j_ab != params.j_bc:
-        raise UnsupportedAsymmetryError(
-            f"the interference condition assumes j_ab == j_bc, got "
-            f"{params.j_ab} and {params.j_bc}"
-        )
-    z = complex(delta, 0.5 * params.kappa_b)
-    amp = params.j_ac * abs(z) - params.j_ab**2
-    phi = cmath.phase(z)
-    phase = min(
-        _distance_to_pi(phi - params.theta),
-        _distance_to_pi(phi + params.theta),
-    )
-    return amp, phase

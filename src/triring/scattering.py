@@ -1,4 +1,4 @@
-"""Linearized input-output theory of the three-port ring.
+"""Linearized three-port ring: S-matrix, closed forms, one-way working points.
 
 With the Kerr terms dropped, the Langevin equations for the mode vector
 u = (a, c, b) read du/dt = -i M u + sqrt(Gamma) u_in with a non-Hermitian
@@ -21,17 +21,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, fields
+from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (
+    DegeneratePhaseError,
     InvalidRateError,
     ResonanceSingularityError,
     SingularDenominatorError,
     UnsupportedAsymmetryError,
 )
-from .fock import _finite_float
+from .fock import _finite_float, _member
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import SystemParams
@@ -48,6 +50,10 @@ __all__ = [
     "scattering_matrix",
     "transmission_closed_form",
     "from_system_params",
+    "TransmissionDirection",
+    "OptimalCondition",
+    "optimal_condition",
+    "phase_matching_residual",
 ]
 
 PORT_A, PORT_C, PORT_B = 0, 1, 2
@@ -216,3 +222,112 @@ def from_system_params(params: "SystemParams") -> LinearModel:
         kappa_c=params.kappa_c,
         kappa_b=params.kappa_b,
     )
+
+
+class TransmissionDirection(Enum):
+    FORWARD = "forward"    # a -> c
+    BACKWARD = "backward"  # c -> a
+
+
+@dataclass(frozen=True)
+class OptimalCondition:
+    """Parameter set for complete one-way transmission at equal port losses.
+
+    ``theta`` is the effective coupling phase: when the raw closed form
+    yields a negative direct coupling, its sign is folded into the phase
+    (``phase_folded`` is then True) so that ``j_ac`` stays a magnitude.
+    """
+
+    direction: TransmissionDirection
+    delta: float
+    j_ac: float
+    j: float
+    kappa_b: float
+    theta: float
+    phase_folded: bool
+
+    def as_linear_model(self) -> LinearModel:
+        """Linear network with equal port losses satisfying this condition.
+
+        Evaluate the scattering matrix at probe frequency ``delta`` (bare
+        frequencies are zero here, so probe frequency equals detuning).
+        """
+        kappa = self.kappa_b
+        return LinearModel(
+            j_ab=self.j,
+            j_bc=self.j,
+            j_ac=self.j_ac,
+            theta=self.theta,
+            kappa_a=kappa,
+            kappa_c=kappa,
+            kappa_b=self.kappa_b,
+        )
+
+
+def optimal_condition(
+    direction: TransmissionDirection, theta: float, kappa: float
+) -> OptimalCondition:
+    """Parameters for complete one-way transmission at equal port losses.
+
+    Forward (a -> c):  delta = kappa / (2 tan theta),  j_ac = -kappa / (2 sin theta)
+    Backward (c -> a): both signs flipped.  In either case j = |j_ac| and
+    kappa_b = kappa.  A negative raw j_ac is folded into the phase,
+    ``theta -> theta + pi``, keeping the reported coupling non-negative.
+    ``direction`` is a :class:`TransmissionDirection` or its value
+    (``"forward"``, ``"backward"``), else :class:`InvalidRateError`.
+    """
+    direction = _member(TransmissionDirection, direction, "direction", InvalidRateError)
+    theta = _finite_float(theta, "theta", InvalidRateError)
+    kappa = _finite_float(kappa, "kappa", InvalidRateError)
+    if kappa <= 0:
+        raise InvalidRateError(f"kappa must be > 0, got {kappa}")
+    s = math.sin(theta)
+    if abs(s) < 1e-12:
+        raise DegeneratePhaseError(
+            f"optimal conditions are undefined at theta = {theta}: sin(theta) vanishes"
+        )
+    sign = 1.0 if direction is TransmissionDirection.FORWARD else -1.0
+    delta = sign * kappa * math.cos(theta) / (2.0 * s)
+    j_ac_raw = -sign * kappa / (2.0 * s)
+    folded = j_ac_raw < 0
+    return OptimalCondition(
+        direction=direction,
+        delta=delta,
+        j_ac=abs(j_ac_raw),
+        j=abs(j_ac_raw),
+        kappa_b=kappa,
+        theta=theta + math.pi if folded else theta,
+        phase_folded=folded,
+    )
+
+
+def _distance_to_pi(x: float) -> float:
+    """|x - pi| reduced modulo 2 pi into [0, pi]."""
+    return abs(math.remainder(x - math.pi, 2.0 * math.pi))
+
+
+def phase_matching_residual(model: LinearModel, delta: float) -> tuple[float, float]:
+    """How far a linear network is from the two-channel interference condition.
+
+    The destructive-interference condition for nonreciprocal transmission is
+    j_ac * |delta + i kappa_b / 2| = j**2 together with a phase match
+    phi -+ theta = pi (mod 2 pi), where phi = arg(delta + i kappa_b / 2) is
+    the loss-induced phase lag.  Returns (amplitude residual, phase residual)
+    with the phase residual minimized over both branches and reduced to
+    [0, pi].  Requires j_ab == j_bc and a finite ``delta``;
+    :func:`from_system_params` converts a :class:`SystemParams`.
+    """
+    delta = _finite_float(delta, "delta", InvalidRateError)
+    if model.j_ab != model.j_bc:
+        raise UnsupportedAsymmetryError(
+            f"the interference condition assumes j_ab == j_bc, got "
+            f"{model.j_ab} and {model.j_bc}"
+        )
+    z = complex(delta, 0.5 * model.kappa_b)
+    amp = model.j_ac * abs(z) - model.j_ab**2
+    phi = cmath.phase(z)
+    phase = min(
+        _distance_to_pi(phi - model.theta),
+        _distance_to_pi(phi + model.theta),
+    )
+    return amp, phase

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -622,6 +623,19 @@ class TestSweepExecution:
         for manifest in manifests:
             del manifest["wall_time_s"]
         assert manifests[0] == manifests[1]
+
+    def test_pool_spreads_a_small_grid_over_its_workers(self, monkeypatch):
+        # each worker takes one point at a time, so even a 3-point grid
+        # reaches both workers, and the rows still come back in grid order
+        def slow_point(params, dims, directions, convergence_check, strict=True):
+            time.sleep(0.5)
+            return PointResult(t_fwd=params.delta_a, notes=str(os.getpid()))
+
+        monkeypatch.setattr(cli, "run_point", slow_point)
+        result = run_sweep(tiny_spec(), jobs=2)
+        rows = [dict(zip(result.columns, row)) for row in result.rows]
+        assert [row["t_fwd"] for row in rows] == [-1.0, 0.0, 1.0]
+        assert len({row["notes"] for row in rows}) == 2
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):

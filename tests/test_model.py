@@ -13,6 +13,7 @@ from triring import (
     DriveSide,
     InvalidRateError,
     InvalidSpaceError,
+    LinearModel,
     MODE_A,
     MODE_B,
     MODE_C,
@@ -465,15 +466,9 @@ class TestOptimalCondition:
 
 
 class TestPhaseMatching:
-    def _params_from(self, cond):
-        return SystemParams(
-            j_ab=cond.j, j_bc=cond.j, j_ac=cond.j_ac, theta=cond.theta,
-            kappa_a=cond.kappa_b, kappa_c=cond.kappa_b, kappa_b=cond.kappa_b,
-        )
-
     def test_optimal_point_is_matched(self):
         cond = optimal_condition(TransmissionDirection.FORWARD, -math.pi / 4, 1.0)
-        amp, phase = phase_matching_residual(self._params_from(cond), cond.delta)
+        amp, phase = phase_matching_residual(cond.as_linear_model(), cond.delta)
         assert abs(amp) < 1e-12
         assert phase < 1e-12
 
@@ -481,27 +476,25 @@ class TestPhaseMatching:
         for direction in TransmissionDirection:
             for theta in np.linspace(0.05, math.pi - 0.05, 41):
                 cond = optimal_condition(direction, float(theta), 1.0)
-                amp, phase = phase_matching_residual(
-                    self._params_from(cond), cond.delta
-                )
+                amp, phase = phase_matching_residual(cond.as_linear_model(), cond.delta)
                 assert abs(amp) < 1e-12, (direction, theta)
                 assert phase < 1e-12, (direction, theta)
 
     def test_zero_phase_cannot_match(self):
-        params = SystemParams(j_ab=SQ2, j_bc=SQ2, j_ac=SQ2, theta=0.0, kappa_b=1.0)
-        _, phase = phase_matching_residual(params, 1.0)
+        network = LinearModel(j_ab=SQ2, j_bc=SQ2, j_ac=SQ2, theta=0.0, kappa_b=1.0)
+        _, phase = phase_matching_residual(network, 1.0)
         assert phase == pytest.approx(math.pi - math.atan2(0.5, 1.0))
         assert phase > 0.1
 
     def test_zero_coupling_amplitude(self):
-        params = SystemParams(j_ab=0.5, j_bc=0.5, j_ac=0.0, kappa_b=1.0)
-        amp, _ = phase_matching_residual(params, 0.3)
+        network = LinearModel(j_ab=0.5, j_bc=0.5, j_ac=0.0, kappa_b=1.0)
+        amp, _ = phase_matching_residual(network, 0.3)
         assert amp == pytest.approx(-0.25)
 
     def test_asymmetric_bridge_rejected(self):
-        params = SystemParams(j_ab=0.5, j_bc=0.6)
+        network = LinearModel(j_ab=0.5, j_bc=0.6)
         with pytest.raises(UnsupportedAsymmetryError):
-            phase_matching_residual(params, 0.0)
+            phase_matching_residual(network, 0.0)
 
     @pytest.mark.parametrize("delta, match", [
         (float("inf"), "delta must be a finite number, got inf"),
@@ -509,9 +502,9 @@ class TestPhaseMatching:
         ("0.5", "delta must be a number, got '0.5'"),
     ])
     def test_probe_offset_must_be_a_finite_number(self, delta, match):
-        params = SystemParams(j_ab=SQ2, j_bc=SQ2, j_ac=SQ2, theta=-math.pi / 4, kappa_b=1.0)
+        network = LinearModel(j_ab=SQ2, j_bc=SQ2, j_ac=SQ2, theta=-math.pi / 4, kappa_b=1.0)
         with pytest.raises(InvalidRateError, match=f"^{match}$"):
-            phase_matching_residual(params, delta)
+            phase_matching_residual(network, delta)
 
 
 class TestBaselineParams:
