@@ -211,20 +211,19 @@ class Operator:
     def dag(self) -> "Operator":
         return adjoint(self)
 
-    def _same_space(self, other: "Operator"):
+    def _binary(self, other, operation):
+        """``operation`` on both matrices, if ``other`` is an Operator on
+        the same space; else ``NotImplemented`` or :class:`SpaceMismatchError`."""
+        if not isinstance(other, Operator):
+            return NotImplemented
         _same_space(self.space, other.space, "operands act on different spaces")
+        return Operator(self.space, operation(self.data, other.data))
 
     def __add__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        self._same_space(other)
-        return Operator(self.space, self.data + other.data)
+        return self._binary(other, np.add)
 
     def __sub__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        self._same_space(other)
-        return Operator(self.space, self.data - other.data)
+        return self._binary(other, np.subtract)
 
     def __neg__(self):
         return Operator(self.space, -self.data)
@@ -237,10 +236,7 @@ class Operator:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        self._same_space(other)
-        return Operator(self.space, self.data @ other.data)
+        return self._binary(other, np.matmul)
 
 
 def annihilation(dim: int) -> Operator:

@@ -49,7 +49,7 @@ from .errors import (
     NonUniqueSteadyStateError,
     StepTooLargeError,
 )
-from .fock import CompositeSpace, Operator, _finite_float, _same_space, _square
+from .fock import CompositeSpace, Operator, _finite_float, _member, _same_space, _square
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -90,13 +90,14 @@ class SteadyStateOptions:
 
     ``method`` is a :class:`SteadyStateMethod` or its value
     (``"trace-constrained"``, ``"null-space"``); anything else is a
-    ``ValueError``.
+    ``ValueError`` that lists them.
     """
 
     method: SteadyStateMethod = SteadyStateMethod.TRACE_CONSTRAINED
 
     def __post_init__(self):
-        object.__setattr__(self, "method", SteadyStateMethod(self.method))
+        method = _member(SteadyStateMethod, self.method, "method", ValueError)
+        object.__setattr__(self, "method", method)
 
 
 @dataclass

@@ -131,10 +131,13 @@ class TestApplyAxis:
 
 
 class TestRunPoint:
-    def test_zero_drive_surfaces_clear_error(self):
+    # the first side solved is the one named
+    @pytest.mark.parametrize("directions, failing", [("both", "left"), ("right", "right")])
+    def test_zero_drive_surfaces_clear_error(self, directions, failing):
         params = baseline_params(omega=0.0)
-        with pytest.raises(PointEvaluationError, match="undefined at zero drive"):
-            run_point(params, dims=(3, 3, 3))
+        with pytest.raises(PointEvaluationError, match="undefined at zero drive") as info:
+            run_point(params, dims=(3, 3, 3), directions=directions)
+        assert info.value.direction == failing
 
     def test_error_flags_in_lenient_mode(self):
         result = run_point(baseline_params(omega=0.0), dims=(3, 3, 3), strict=False)

@@ -1,6 +1,7 @@
 """tools/compare_outputs.py: identical outputs pass, any changed value fails
 and is named by file, column and row, and in units of its truncation drift
-where the row holds one."""
+where the row holds one.  With --values-may-differ only a missing or extra
+file fails."""
 
 import importlib.util
 import json
@@ -49,9 +50,9 @@ def runs(tmp_path_factory):
     return a, b
 
 
-def run(compare_outputs, capsys, a, b):
+def run(compare_outputs, capsys, a, b, *flags):
     capsys.readouterr()
-    status = compare_outputs.main([str(a), str(b)])
+    status = compare_outputs.main([str(a), str(b), *flags])
     return status, capsys.readouterr().out
 
 
@@ -128,3 +129,35 @@ def test_change_in_drift_units(compare_outputs, capsys, tmp_path):
     assert lines[2] == "sweep.csv: differs"
     assert lines[3].endswith("; max change in drift units 5.000e-01 at row 1")
     assert lines[4].startswith("  g3_bwd: 2 cells differ;") and "drift units" not in lines[4]
+
+
+def test_values_may_differ_passes_a_changed_cell(compare_outputs, capsys, runs, tmp_path):
+    a, _ = runs
+
+    def nudge_t_fwd(text):
+        rows = text.splitlines()
+        cells = rows[3].split(",")
+        cells[6] = repr(float(cells[6]) * (1 + 1e-9))
+        rows[3] = ",".join(cells)
+        return "\n".join(rows) + "\n"
+
+    b = edited_copy(a, tmp_path / "b", "conditions_check.csv", nudge_t_fwd)
+    status, out = run(compare_outputs, capsys, a, b, "--values-may-differ")
+    assert status == 0
+    assert "conditions_check.csv: differs\n  t_fwd: 1 cell differs; max abs change" in out
+    assert "max rel change 1.000e-09 at row 2" in out
+
+
+@pytest.mark.parametrize("kind", ["missing", "extra"])
+def test_values_may_differ_fails_a_missing_or_extra_file(
+    compare_outputs, capsys, runs, tmp_path, kind
+):
+    a, _ = runs
+    b = shutil.copytree(a, tmp_path / "b")
+    if kind == "missing":
+        (b / "smoke.json").unlink()
+    else:
+        (b / "notes.txt").write_text("x\n")
+    status, out = run(compare_outputs, capsys, a, b, "--values-may-differ")
+    assert status == 1
+    assert f": {kind} (in " in out

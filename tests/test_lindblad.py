@@ -582,7 +582,11 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("method", ["bogus", "TRACE_CONSTRAINED", None, 0])
     def test_unknown_method_refused(self, method):
-        with pytest.raises(ValueError, match="is not a valid SteadyStateMethod"):
+        message = (
+            "method must be a SteadyStateMethod or one of "
+            f"['trace-constrained', 'null-space'], got {method!r}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
             SteadyStateOptions(method=method)
 
     def test_null_space_refuses_generators_above_its_limit(self, monkeypatch, fig2_params):

@@ -1,6 +1,6 @@
 """Compare two directories of triring outputs, file by file.
 
-    python tools/compare_outputs.py DIR_A DIR_B
+    python tools/compare_outputs.py DIR_A DIR_B [--values-may-differ]
 
 Every file under either directory is matched by its relative path.  A file
 on both sides prints ``identical``, or ``differs`` followed by one line per
@@ -22,6 +22,9 @@ Cells whose drift is empty or 0 are left out of that figure.
 
 The exit status is 0 when every file is identical and 1 on any difference,
 so the command can gate a refactor that must keep its outputs byte for byte.
+With ``--values-may-differ`` it is 0 when every file is on both sides, even
+if values differ, and 1 when a file is missing or extra: the gate of a
+change that moves numbers on purpose, whose report shows by how much.
 """
 
 from __future__ import annotations
@@ -156,12 +159,13 @@ def compare_file(path_a: Path, path_b: Path) -> list[str]:
     return lines
 
 
-def compare_dirs(dir_a: Path, dir_b: Path, out=None) -> bool:
+def compare_dirs(dir_a: Path, dir_b: Path, out=None, values_may_differ: bool = False) -> bool:
     """Print the report for two directories to ``out`` (default stdout);
-    True when every file is identical."""
+    True when every file is on both sides and, unless
+    ``values_may_differ``, identical."""
     files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
-    same = True
+    passed = True
     for name in sorted(files_a | files_b):
         if name not in files_b:
             print(f"{name}: missing (in {dir_a} only)", file=out)
@@ -172,10 +176,10 @@ def compare_dirs(dir_a: Path, dir_b: Path, out=None) -> bool:
             print(f"{name}: {'differs' if lines else 'identical'}", file=out)
             for line in lines:
                 print(line, file=out)
-            if not lines:
+            if not lines or values_may_differ:
                 continue
-        same = False
-    return same
+        passed = False
+    return passed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -183,13 +187,16 @@ def main(argv: list[str] | None = None) -> int:
         description="Compare two directories of triring outputs file by file; "
         "exit 1 on any difference."
     )
+    parser.add_argument("--values-may-differ", action="store_true",
+                        help="exit 0 when values differ; 1 only for a missing or extra file")
     parser.add_argument("dir_a", type=Path, help="reference outputs, such as the parent commit's")
     parser.add_argument("dir_b", type=Path, help="outputs to check against DIR_A")
     args = parser.parse_args(argv)
     for path in (args.dir_a, args.dir_b):
         if not path.is_dir():
             parser.error(f"{path} is not a directory")
-    return 0 if compare_dirs(args.dir_a, args.dir_b) else 1
+    passed = compare_dirs(args.dir_a, args.dir_b, values_may_differ=args.values_may_differ)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

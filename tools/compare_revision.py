@@ -1,6 +1,6 @@
 """Write the fixed output set at two revisions and compare them.
 
-    python tools/compare_revision.py OLD [NEW] [--scenarios NAME ...]
+    python tools/compare_revision.py OLD [NEW] [--scenarios NAME ...] [--values-may-differ]
 
 OLD and NEW are git revisions of this repository; each is extracted with
 ``git archive`` into a temporary directory.  Without NEW the working tree
@@ -16,8 +16,9 @@ is used as it stands, uncommitted changes included.  In each tree, with
 ``--scenarios`` runs only the named scenarios and skips the point.  The two
 output directories then go to ``tools/compare_outputs.py``, whose report
 this prints and whose exit status it returns: 0 when every file is
-identical, 1 on any difference.  A revision that does not resolve, or a
-command that fails in either tree, exits 2.
+identical, 1 on any difference.  ``--values-may-differ`` is passed on to
+it, so that only a missing or extra file exits 1.  A revision that does
+not resolve, or a command that fails in either tree, exits 2.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("new", nargs="?", help="git revision (default: the working tree)")
     parser.add_argument("--scenarios", nargs="+", metavar="NAME",
                         help="run only these scenarios, and no point")
+    parser.add_argument("--values-may-differ", action="store_true",
+                        help="exit 0 when values differ; 1 only for a missing or extra file")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare_revision_") as tmp:
         tmp = Path(tmp)
@@ -107,8 +110,10 @@ def main(argv: list[str] | None = None) -> int:
         except RevisionError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        flags = ["--values-may-differ"] if args.values_may_differ else []
         compare = subprocess.run(
-            [sys.executable, str(TOOLS / "compare_outputs.py"), str(tmp / "old"), str(tmp / "new")]
+            [sys.executable, str(TOOLS / "compare_outputs.py"), str(tmp / "old"), str(tmp / "new"),
+             *flags]
         )
     return compare.returncode
 
